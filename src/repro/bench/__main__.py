@@ -27,20 +27,27 @@ from repro.bench.figures import ALL_ABLATIONS, ALL_FIGURES
 
 
 def perf(argv: list[str]) -> int:
-    """Scheduler-throughput smoke: one Fig. 5 point, report events/sec.
+    """Scheduler-throughput smoke: one Fig. 5 point, report events/sec and
+    simulated ns per wall second.
 
-    ``--min-eps N`` turns the report into a regression gate (exit 1 below
-    the floor).  ``--requests N`` / ``--threads N`` scale the workload.
+    ``--min-eps N`` / ``--min-sim-ns-per-s N`` turn the report into
+    regression gates (exit 1 below either floor).  Events/sec alone cannot
+    see a speedup that removes events (quiescent-poller parking dispatches
+    fewer, heavier events); simulated time per wall second can.
+    ``--requests N`` / ``--threads N`` scale the workload.
     """
     from repro.workloads.io_sweep import run_bandwidth_sweep
 
     min_eps = 0.0
+    min_sim_rate = 0.0
     requests = 4096
     threads = 64
     it = iter(argv)
     for arg in it:
         if arg == "--min-eps":
             min_eps = float(next(it, "0"))
+        elif arg == "--min-sim-ns-per-s":
+            min_sim_rate = float(next(it, "0"))
         elif arg == "--requests":
             requests = int(next(it, "4096"))
         elif arg == "--threads":
@@ -54,18 +61,27 @@ def perf(argv: list[str]) -> int:
     )
     wall = time.perf_counter() - start
     eps = point.sim_events / wall if wall > 0 else 0.0
+    sim_rate = point.duration_ns / wall if wall > 0 else 0.0
     print(
         f"perf: {point.sim_events:,} events in {wall:.2f} s "
-        f"-> {eps:,.0f} events/s "
+        f"-> {eps:,.0f} events/s, {sim_rate:,.0f} sim-ns/s "
         f"({point.total_requests} requests, {point.bandwidth_gbps:.2f} GB/s)"
     )
+    failed = False
     if min_eps and eps < min_eps:
         print(
             f"perf: FAIL - {eps:,.0f} events/s below floor {min_eps:,.0f}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    if min_sim_rate and sim_rate < min_sim_rate:
+        print(
+            f"perf: FAIL - {sim_rate:,.0f} sim-ns/s below floor "
+            f"{min_sim_rate:,.0f}",
+            file=sys.stderr,
+        )
+        failed = True
+    return 1 if failed else 0
 
 
 def serve(argv: list[str]) -> int:
@@ -191,6 +207,7 @@ def export(argv: list[str]) -> int:
             "sim_events": point.sim_events,
             "wall_s": wall,
             "events_per_sec": point.sim_events / wall if wall > 0 else 0.0,
+            "sim_ns_per_sec": point.duration_ns / wall if wall > 0 else 0.0,
             "total_requests": point.total_requests,
             "bandwidth_gbps": point.bandwidth_gbps,
             "device_errors": point.device_errors,
@@ -223,7 +240,8 @@ def _dispatch(argv: list[str]) -> int:
         for name in registry:
             print(f"  {name}")
         print("  all")
-        print("  perf [--min-eps N] [--requests N] [--threads N]")
+        print("  perf [--min-eps N] [--min-sim-ns-per-s N] [--requests N] "
+              "[--threads N]")
         print("  export [--out FILE] [--quick]")
         print("  serve [--quick] [--loads ...] [--out FILE]   (saturation sweep)")
         print("  --trace FILE <target>   (Chrome-trace timeline of the run)")

@@ -25,7 +25,8 @@ class StreamingMultiprocessor:
         self.cfg = cfg
         self.index = index
         rate = cfg.issue_width * cfg.warp_size / cfg.cycle_ns
-        self._issue = FairShareServer(
+        #: Issue bandwidth shared by the resident threads.
+        self.issue = FairShareServer(
             sim,
             total_rate=rate,
             per_job_cap=1.0 / cfg.cycle_ns,
@@ -45,11 +46,12 @@ class StreamingMultiprocessor:
         """
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        return self._issue.process(cycles)
+        return self.issue.process(cycles)
 
     @property
     def active_threads(self) -> int:
-        return self._issue.active_jobs
+        return self.issue.active_jobs
 
     def issued_thread_cycles(self) -> float:
-        return self._issue.work_done
+        self.issue.sync()
+        return self.issue.work_done

@@ -243,6 +243,10 @@ class SsdController:
             ev = self.sim.event(name=self._cq_space_names[qp.qid])
             qp.cq.add_space_waiter(ev.trigger)
             yield ev
+        if qp.cq.post_watcher is not None:
+            # Wake a parked poller before this post schedules anything, so
+            # its re-created events precede the whole post chain.
+            qp.cq.post_watcher()
         yield Timeout(self.cfg.cqe_post_ns)
         yield from self.link.dma_write(CQE_SIZE)
         completion = NvmeCompletion(

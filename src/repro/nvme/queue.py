@@ -229,6 +229,14 @@ class CompletionQueue:
         self.log = None
         #: Optional :class:`repro.telemetry.Gauge` (occupancy timeline).
         self.occupancy = None
+        #: Called when a device post starts (its slot just reserved) while
+        #: the host's poller is parked on this queue; None otherwise.
+        self.post_watcher: Optional[Callable[[], None]] = None
+
+    @property
+    def posts_in_flight(self) -> int:
+        """Device posts between slot reservation and the CQE landing."""
+        return self._reserved
 
     # -- device side -------------------------------------------------------------
 

@@ -36,6 +36,7 @@ stuck on what.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -331,6 +332,13 @@ class Process:
         if not self._done_event.triggered:
             self._done_event.trigger(None)
 
+    @property
+    def waiting_on(self) -> Any:
+        """What the process is blocked on: an :class:`Event`, a
+        :class:`Timeout`, a joined :class:`Process`, or ``None`` while it is
+        runnable (or finished)."""
+        return self._waiting_on
+
     def waiting_description(self) -> str:
         """Human-readable description of what this process is blocked on."""
         target = self._waiting_on
@@ -384,6 +392,8 @@ class Simulator:
         #: the engine never imports the telemetry package).  While None —
         #: the default — run() records nothing.
         self.telemetry = None
+        #: Wake callbacks of parked daemon loops (see :meth:`park`).
+        self._parked: list[Callable[[], None]] = []
 
     # -- scheduling ----------------------------------------------------------
 
@@ -438,15 +448,60 @@ class Simulator:
     # -- process management ---------------------------------------------------
 
     def spawn(
-        self, gen: SimGenerator, name: str = "proc", daemon: bool = False
+        self,
+        gen: SimGenerator,
+        name: str = "proc",
+        daemon: bool = False,
+        at: Optional[float] = None,
     ) -> Process:
-        """Create a process from a generator and schedule its first step."""
+        """Create a process from a generator and schedule its first step:
+        now, or at absolute simulated time ``at`` (exactly ``at``, where a
+        ``Timeout(at - now)`` could round to a neighbouring float)."""
         proc = Process(self, gen, name=name, daemon=daemon)
         self._alive.add(proc)
         if not daemon:
             self._alive_nondaemon += 1
-        proc._enqueue(_K_SEND, None)
+        if at is None or at == self.now:
+            proc._enqueue(_K_SEND, None)
+        else:
+            if at < self.now:
+                raise ValueError(f"cannot spawn in the past: {at} < {self.now}")
+            self._seq += 1
+            rec = proc._record
+            rec[0] = self._seq
+            proc._rec_queued = True
+            heapq.heappush(self._heap, (at, self._seq, rec))
         return proc
+
+    # -- parking -----------------------------------------------------------------
+
+    def park(self, wake: Callable[[float], None]) -> None:
+        """Register a parked daemon loop.
+
+        A daemon that stops scheduling its own events while it provably has
+        nothing to do (see ``AgileService``) leaves the queues without the
+        events that would, unparked, keep a run going.  The engine calls
+        ``wake(until)`` — which must bring the loop up to ``until``,
+        re-create its later events and call :meth:`unpark` — before it
+        would end a run for lack of events (deadlock or plain drain) and
+        before the watchdog fires, so both happen exactly when they would
+        have without parking.
+
+        ``until`` is ``now``, except when a plain ``run()`` drains: the
+        event that drained it has already run, so ``until`` is the float
+        just below ``now`` and the loop re-creates its events due exactly
+        at ``now`` instead of running them; a re-created raw callback then
+        keeps the run going, a re-created process step does not.
+        """
+        self._parked.append(wake)
+
+    def unpark(self, wake: Callable[[float], None]) -> None:
+        """Deregister a parked loop (it is scheduling its events again)."""
+        self._parked.remove(wake)
+
+    def _wake_parked(self, until: float) -> None:
+        for wake in list(self._parked):
+            wake(until)
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
@@ -503,7 +558,7 @@ class Simulator:
         watchdog = self.watchdog_ns
         processed = 0
         now = self.now
-        while imm or heap:
+        while imm or heap or self._parked:
             if self._crashed is not None:
                 exc, proc = self._crashed
                 self._crashed = None
@@ -514,7 +569,12 @@ class Simulator:
                 if not targets:
                     return
             elif self._alive_nondaemon == 0 and self._raw_pending == 0:
-                return
+                if not self._parked:
+                    return
+                # A parked loop may owe raw callbacks that keep this run
+                # going: wake it and look again.
+                self._wake_parked(math.nextafter(now, -math.inf))
+                continue
             # Pop whichever front has the smaller (time, seq).  Immediate
             # records carry the current timestamp, so only a heap entry that
             # already expired (time == now) with an older seq can precede
@@ -528,8 +588,13 @@ class Simulator:
                     imm.popleft()
                     when = now
                     from_heap = False
-            else:
+            elif heap:
                 when, _, rec = heappop(heap)
+            else:
+                # Drained with a loop parked: its events would have kept
+                # the queues warm, so wake it and carry on.
+                self._wake_parked(now)
+                continue
             if until is not None and when > until:
                 # Put it back; we stop exactly at the horizon.
                 if from_heap:
@@ -538,13 +603,23 @@ class Simulator:
                     imm.appendleft(rec)
                 self.now = until
                 return
-            self.now = now = when
             if (
                 watchdog > 0
                 and self._alive_nondaemon > 0
                 and when - self._last_progress > watchdog
             ):
+                if self._parked:
+                    # The parked loop's own events would have crossed the
+                    # deadline first: put this one back and wake it.
+                    if from_heap:
+                        heapq.heappush(heap, (when, rec[0], rec))
+                    else:
+                        imm.appendleft(rec)
+                    self._wake_parked(now)
+                    continue
+                self.now = when
                 raise SimStallError(self._stall_report())
+            self.now = now = when
             kind = rec[1]
             if kind == _K_SEND:
                 target = rec[2]

@@ -10,7 +10,8 @@ path costs zero simulated time and zero events.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Optional
+from collections import deque
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.sim.engine import Event, SimError, Simulator, Timeout
 
@@ -203,10 +204,30 @@ class FairShareServer:
         self._version = 0
         self.work_done = 0.0
         self._job_name = f"{name}.job"
+        #: The :class:`ParkedPollers` replaying this server while its only
+        #: clients are parked polling loops; None while stepped normally.
+        self.parked: Optional[ParkedPollers] = None
 
     @property
     def active_jobs(self) -> int:
+        self.sync()
         return len(self._jobs)
+
+    @property
+    def version(self) -> int:
+        """Bumped by every arrival and departure; the pending departure
+        callback carries the version current when it was scheduled."""
+        return self._version
+
+    def job_events(self) -> list[Event]:
+        """The events of the jobs in service (each triggers at departure)."""
+        return [job[2] for job in self._jobs]
+
+    def sync(self) -> None:
+        """Bring a parked server's state (``work_done``, jobs, virtual
+        time) up to ``sim.now``; a no-op while it is stepped normally."""
+        if self.parked is not None:
+            self.parked.advance(self.sim.now)
 
     def _rate(self) -> float:
         n = len(self._jobs)
@@ -285,6 +306,10 @@ class FairShareServer:
             raise ValueError("work must be non-negative")
         if work == 0:
             return
+        if self.parked is not None:
+            # A job from outside the parked polling loops: resume exact
+            # stepping before it arrives.
+            self.parked.wake()
         sim = self.sim
         now = sim.now
         jobs = self._jobs
@@ -315,3 +340,251 @@ class FairShareServer:
             dt = 0.0
         sim.schedule_at(now + dt, self._on_departure, self._version)
         yield ev
+
+
+#: Kinds of a :class:`ParkedPollers` queue item ``(time, seq, kind, arg)``.
+_DEPART = 0  # arg: the departure callback's version
+_RESUME = 1  # arg: client whose job just departed (an immediate item)
+_WAKE = 2  # arg: client whose idle back-off ends
+
+
+class ParkedPollers:
+    """Exact stand-in for polling loops that find nothing to do.
+
+    A polling client of a :class:`FairShareServer` runs rounds of ``n``
+    visits; each visit is one job of ``work`` units, and a round that finds
+    nothing ends in an ``idle_ns`` back-off.  While every client's queues
+    stay empty and the server serves nothing else, that loop is a closed
+    system, so its owner may stop dispatching it as events (*park*) and this
+    object recomputes it on demand: :meth:`advance` replays every arrival,
+    departure, resume and wake-up up to a time, in the engine's
+    ``(time, seq)`` order, with the same float expressions as
+    :meth:`FairShareServer.process` and :meth:`FairShareServer._on_departure`
+    and the same immediate/heap scheduling rules as the engine.
+    :meth:`unpark` then re-creates every pending departure callback (stale
+    ones included) and client wake-up at its absolute time, in replay
+    order, so stepping resumes exactly where it would have been.
+
+    ``clients`` holds ``(idx, left, n)`` per client: the next queue to
+    visit, visits left in the current round, and queues per round.
+    ``owners`` maps each job event in the server to its client; ``sleepers``
+    lists ``(wake_at, version, order, client)`` for clients in their idle
+    back-off, where ``version`` is the server's :attr:`FairShareServer.version`
+    and ``order`` a counter, both read when the back-off was scheduled.
+    """
+
+    def __init__(
+        self,
+        server: FairShareServer,
+        work: float,
+        idle_ns: float,
+        clients: Sequence[tuple[int, int, int]],
+        owners: dict[int, int],
+        sleepers: Sequence[tuple[float, int, int, int]],
+        wake: Callable[[], None],
+    ):
+        self.server = server
+        self.work = work
+        self.idle_ns = idle_ns
+        self.idx = [c[0] for c in clients]
+        self.left = [c[1] for c in clients]
+        self.n = [c[2] for c in clients]
+        #: Called to end the park (by an outside job arrival).
+        self.wake = wake
+        #: Client visits (jobs started) replayed so far.
+        self.visits = 0
+        self.now = server.sim.now
+        cap = server.per_job_cap
+        total = server.total_rate
+        #: ``min(per_job_cap, total_rate / k)`` exactly as the server
+        #: computes it, for every job count the clients can reach.
+        self.rates = [0.0] + [
+            cap if cap < total / k else total / k
+            for k in range(1, len(clients) + 1)
+        ]
+        jobs = server._jobs
+        # Jobs keep their heap positions; the payload becomes the client.
+        for i, (vfinish, seq, ev) in enumerate(jobs):
+            jobs[i] = (vfinish, seq, owners[id(ev)])
+        # The pending departure (if any) and every back-off, numbered in
+        # the order the engine scheduled them.  The departure was scheduled
+        # when the server's version last changed, so it precedes every
+        # back-off scheduled at that version or later.
+        pending: list[tuple[tuple[int, int, int], float, int, int]] = [
+            ((version, 1, order), wake_at, _WAKE, client)
+            for wake_at, version, order, client in sleepers
+        ]
+        # Supersede the callback already in the engine's queue; the replay
+        # owns departures from here on.
+        server._version += 1
+        if jobs:
+            dt = (jobs[0][0] - server._V) / self.rates[len(jobs)]
+            if dt < 0.0:
+                dt = 0.0
+            pending.append(
+                ((server._version - 1, 0, 0), server._last_t + dt, _DEPART,
+                 server._version)
+            )
+        pending.sort()
+        self.heap: list[tuple[float, int, int, int]] = [
+            (when, seq, kind, arg)
+            for seq, (_, when, kind, arg) in enumerate(pending, 1)
+        ]
+        heapq.heapify(self.heap)
+        self.seq = len(pending)
+        self.imm: deque[tuple[float, int, int, int]] = deque()
+        server.parked = self
+
+    def advance(self, until: float) -> None:
+        """Replay every item due at or before ``until``."""
+        heap = self.heap
+        if not heap or heap[0][0] > until:
+            return
+        server = self.server
+        jobs = server._jobs
+        V = server._V
+        last_t = server._last_t
+        done = server.work_done
+        jseq = server._seq
+        version = server._version
+        eps = server._EPS
+        rates = self.rates
+        work = self.work
+        idle_ns = self.idle_ns
+        idx = self.idx
+        left = self.left
+        n_of = self.n
+        imm = self.imm
+        seq = self.seq
+        now = self.now
+        visits = 0
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        while True:
+            if imm:
+                item = imm[0]
+                if heap and heap[0][0] <= now and heap[0][1] < item[1]:
+                    item = heappop(heap)
+                else:
+                    imm.popleft()
+            elif heap and heap[0][0] <= until:
+                item = heappop(heap)
+                now = item[0]
+            else:
+                break
+            kind = item[2]
+            client = item[3]
+            if kind == _DEPART:
+                if client != version:
+                    continue  # superseded, as in _on_departure
+                # FairShareServer._on_departure, expression for expression.
+                dt = now - last_t
+                if dt > 0:
+                    k = len(jobs)
+                    if k:
+                        rate = rates[k]
+                        V += dt * rate
+                        done += dt * rate * k
+                last_t = now
+                if jobs and V < jobs[0][0]:
+                    V = jobs[0][0]
+                lim = V + eps
+                ready = [heappop(jobs)]
+                while jobs and jobs[0][0] <= lim:
+                    ready.append(heappop(jobs))
+                version += 1
+                if jobs:
+                    dt = (jobs[0][0] - V) / rates[len(jobs)]
+                    if dt < 0.0:
+                        dt = 0.0
+                    seq += 1
+                    when = now + dt
+                    if when == now:
+                        imm.append((now, seq, _DEPART, version))
+                    else:
+                        heappush(heap, (when, seq, _DEPART, version))
+                if len(ready) > 1 or imm or (heap and heap[0][0] <= now):
+                    # Something else is due first or alongside: queue the
+                    # resumes behind it, as Event.trigger does.
+                    for job in ready:
+                        seq += 1
+                        imm.append((now, seq, _RESUME, job[2]))
+                    continue
+                # The lone resume is next in line: run it right away.
+                client = ready[0][2]
+                kind = _RESUME
+            if kind == _RESUME:
+                # The client's window was empty (parking requires it).
+                if not left[client]:
+                    # Timeout(idle_ns), scheduled as the engine does.
+                    seq += 1
+                    if idle_ns == 0.0:
+                        imm.append((now, seq, _WAKE, client))
+                    else:
+                        heappush(heap, (now + idle_ns, seq, _WAKE, client))
+                    continue
+            else:
+                left[client] = n_of[client]
+            # One visit: FairShareServer.process(work), expression for
+            # expression.
+            i = idx[client] + 1
+            idx[client] = i if i < n_of[client] else 0
+            left[client] -= 1
+            visits += 1
+            dt = now - last_t
+            if dt > 0:
+                k = len(jobs)
+                if k:
+                    rate = rates[k]
+                    V += dt * rate
+                    done += dt * rate * k
+            last_t = now
+            jseq += 1
+            heappush(jobs, (V + work, jseq, client))
+            version += 1
+            dt = (jobs[0][0] - V) / rates[len(jobs)]
+            if dt < 0.0:
+                dt = 0.0
+            seq += 1
+            when = now + dt
+            if when == now:
+                imm.append((now, seq, _DEPART, version))
+            else:
+                heappush(heap, (when, seq, _DEPART, version))
+        server._V = V
+        server._last_t = last_t
+        server.work_done = done
+        server._seq = jseq
+        server._version = version
+        self.seq = seq
+        self.now = now
+        self.visits += visits
+
+    def unpark(
+        self,
+        respawn: Callable[[int, int, int, Optional[float], Optional[Event]], None],
+        until: float,
+    ) -> None:
+        """Replay up to ``until`` and hand the loop back to the engine.
+
+        Pending departures are re-scheduled and idle clients re-spawned
+        (``respawn(client, idx, left, wake_at, None)``) at their absolute
+        times in replay order; clients waiting on a job get a fresh job
+        event (``respawn(client, idx, left, None, event)``).  ``until`` may
+        lie just below ``sim.now`` (see :meth:`Simulator.park`); items due
+        at ``sim.now`` are then re-created rather than replayed.
+        """
+        server = self.server
+        sim = server.sim
+        self.advance(until)
+        server.parked = None
+        for when, _, kind, arg in sorted(self.heap):
+            if kind == _DEPART:
+                sim.schedule_at(when, server._on_departure, arg)
+            else:
+                respawn(arg, self.idx[arg], self.left[arg], when, None)
+        jobs = server._jobs
+        for i, (vfinish, seq, client) in enumerate(jobs):
+            ev = Event(sim, name=server._job_name)
+            jobs[i] = (vfinish, seq, ev)
+            respawn(client, self.idx[client], self.left[client], None, ev)

@@ -8,12 +8,13 @@ judging it).  A **regression** is a directional metric moving the wrong
 way by more than the tolerance; ``diff`` and ``gate`` exit non-zero when
 any survive.
 
-Wall-clock-derived metrics (``events_per_sec``, ``wall_s``) are
-deliberately *informational*: they vary with the host machine, and the
-CI ``perf-smoke`` floor already gates scheduler throughput on controlled
-terms.  Simulated metrics are seed-deterministic, so between two runs of
-the same config any delta at all is a real behaviour change — the
-tolerance exists for cross-config and cross-version comparisons.
+Wall-clock-derived metrics (``events_per_sec``, ``sim_ns_per_sec``,
+``wall_s``) are deliberately *informational*: they vary with the host
+machine, and the CI ``perf-smoke`` floors already gate scheduler
+throughput on controlled terms.  Simulated metrics are
+seed-deterministic, so between two runs of the same config any delta at
+all is a real behaviour change — the tolerance exists for cross-config
+and cross-version comparisons.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ _HIGHER_IS_BETTER = (
     "slo_attainment", "completed", "headline_ok",
 )
 _INFORMATIONAL = (
-    "events_per_sec", "wall_s", "sim_events", "batches", "offered",
-    "admitted", "duration_ns", "target_rps", "offered_rps", "num_ssds",
+    "events_per_sec", "sim_ns_per_sec", "wall_s", "sim_events", "batches",
+    "offered", "admitted", "duration_ns", "target_rps", "offered_rps", "num_ssds",
     "device_pages", "device_reads", "mean_batch_size", "seed",
     "generated_unix", "gc_runs", "erases", "invalidations", "gc_reads",
     "seeded_pages", "free_blocks", "live_pages", "host_programs",

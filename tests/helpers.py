@@ -42,3 +42,14 @@ def run_kernel(
         duration = host.run_kernel(kernel, LaunchConfig(grid, block), args)
         host.drain()
     return duration
+
+
+def trace_signature(log: Any) -> list[tuple[float, str, list[tuple[str, str]]]]:
+    """Order-sensitive rendering of a protocol :class:`EventLog` stream
+    (object identities excluded: ``src`` holds live model objects)."""
+    return [
+        (ev.t, ev.kind, sorted(
+            (k, str(v)) for k, v in ev.data.items() if k != "src"
+        ))
+        for ev in log.events()
+    ]

@@ -19,16 +19,7 @@ from repro.sim.engine import Simulator, Timeout
 from repro.sim.rng import RngStreams
 from repro.sim.trace import EventLog
 
-
-def _trace_signature(log):
-    """Order-sensitive rendering of a protocol event stream (object
-    identities excluded: ``src`` holds live model objects)."""
-    return [
-        (ev.t, ev.kind, sorted(
-            (k, str(v)) for k, v in ev.data.items() if k != "src"
-        ))
-        for ev in log.events()
-    ]
+from tests.helpers import trace_signature
 
 
 def _run_mixed_workload(seed: int):
@@ -65,7 +56,7 @@ def _run_mixed_workload(seed: int):
         host.run_kernel(kernel, LaunchConfig(1, 32), (sink,))
         host.drain()
     return {
-        "trace": _trace_signature(session.log),
+        "trace": trace_signature(session.log),
         "sink": sink,
         "now": host.sim.now,
         "events": host.sim.event_count,
@@ -130,7 +121,7 @@ def _run_engine_torture(seed: int):
     for i in range(6):
         sim.spawn(worker(i), name=f"w{i}")
     sim.run()
-    return _trace_signature(log), sim.now, sim.event_count
+    return trace_signature(log), sim.now, sim.event_count
 
 
 def test_engine_torture_trace_is_bit_identical():

@@ -3,6 +3,8 @@ ordering, deadlock and stall detection."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -384,3 +386,94 @@ def test_schedule_api_rejects_past(sim):
 
     sim.spawn(proc())
     sim.run()
+
+
+def test_spawn_at_starts_exactly_at_the_absolute_time(sim):
+    starts = []
+
+    def proc():
+        starts.append(sim.now)
+        yield Timeout(0)
+
+    now, at = 72.32375082943939, 229.5334590491822
+    # A relative Timeout would land one ulp off the absolute time.
+    assert now + (at - now) != at
+
+    def later():
+        yield Timeout(now)
+        sim.spawn(proc(), name="p", at=at)
+
+    sim.spawn(later(), name="l")
+    sim.run()
+    assert starts == [at]
+    with pytest.raises(ValueError, match="past"):
+        sim.spawn(proc(), at=at - 1)
+
+
+class _Parked:
+    """A parked daemon: one tick of ``period`` re-created on wake."""
+
+    def __init__(self, sim, period):
+        self.sim = sim
+        self.period = period
+        self.wakes = []
+        self.horizons = []
+        sim.park(self.wake)
+
+    def wake(self, until):
+        self.wakes.append(self.sim.now)
+        self.horizons.append(until)
+        self.sim.unpark(self.wake)
+
+        def tick():
+            while True:
+                yield Timeout(self.period)
+
+        self.sim.spawn(tick(), name="tick", daemon=True)
+
+
+def test_parked_loop_is_woken_instead_of_a_deadlock(sim):
+    def stuck():
+        yield Timeout(5)
+        yield sim.event("never")
+
+    sim.spawn(stuck(), name="stuck")
+    parked = _Parked(sim, 10)
+    # Drained at t=5: the woken daemon carries the run to the horizon, as
+    # a never-parked daemon would have.
+    sim.run(until=100)
+    assert parked.wakes == parked.horizons == [5]
+    assert sim.now == 100
+
+
+def test_parked_loop_is_woken_before_the_watchdog():
+    sim = Simulator(watchdog_ns=100)
+
+    def stuck():
+        yield sim.event("never")
+
+    def late_daemon():
+        yield Timeout(250)
+
+    sim.spawn(stuck(), name="stuck")
+    sim.spawn(late_daemon(), name="late", daemon=True)
+    parked = _Parked(sim, 30)
+    with pytest.raises(SimStallError, match="stuck"):
+        sim.run()
+    # Woken at the last event before the deadline; its own tick at 120 —
+    # not the late daemon at 250 — trips the watchdog.
+    assert parked.wakes == [0]
+    assert sim.now == 120
+
+
+def test_plain_run_wakes_a_parked_loop_before_ending(sim):
+    def worker():
+        yield Timeout(7)
+
+    sim.spawn(worker(), name="w")
+    parked = _Parked(sim, 10)
+    sim.run()
+    assert parked.wakes == [7]
+    # The worker's last step has run: the loop may replay only what fell
+    # due strictly before the drain instant.
+    assert parked.horizons == [math.nextafter(7, -math.inf)]

@@ -63,3 +63,9 @@ class TestSystemConfigHash:
         digest = default_config().config_hash()
         assert len(digest) == 16
         int(digest, 16)  # parses as hex
+
+    def test_default_hash_is_pinned(self):
+        # Store-gate baselines are matched on (schema, config_hash), so a
+        # new or renamed config field silently re-seeds every baseline.
+        # Changing this literal must be a deliberate, reviewed decision.
+        assert SystemConfig().config_hash() == "cfa572f3bb62da10"

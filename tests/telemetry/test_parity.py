@@ -16,14 +16,7 @@ from repro.core import AgileHost, AgileLockChain
 from repro.gpu import KernelSpec, LaunchConfig
 from repro.sim.rng import RngStreams
 
-
-def _trace_signature(log):
-    return [
-        (ev.t, ev.kind, sorted(
-            (k, str(v)) for k, v in ev.data.items() if k != "src"
-        ))
-        for ev in log.events()
-    ]
+from tests.helpers import trace_signature
 
 
 def _run(telemetry: bool, seed: int = 11):
@@ -59,7 +52,7 @@ def _run(telemetry: bool, seed: int = 11):
         host.drain()
     return {
         "host": host,
-        "trace": _trace_signature(session.log),
+        "trace": trace_signature(session.log),
         "sink": sink,
         "now": host.sim.now,
         "events": host.sim.event_count,
