@@ -4,9 +4,9 @@ A discrete-event simulation has correctness rules ordinary linters do not
 know about; this one enforces the repository's:
 
 - **AGL001** — no wall-clock reads (``time.time``, ``time.monotonic``,
-  ``datetime.now``, ...) outside ``bench/`` and the store's provenance
-  stamper (``store/meta.py``): simulated components must derive every
-  timestamp from ``sim.now`` or results silently depend on host speed.
+  ``datetime.now``, ...) outside ``bench/``: simulated components must
+  derive every timestamp from ``sim.now`` or results silently depend on
+  host speed.
 - **AGL002** — no unseeded/global randomness (``random`` module,
   ``np.random.<fn>``, bare ``np.random.default_rng()``) outside ``bench/``
   and ``rng.py``: all stochastic behaviour must flow through the named
@@ -72,30 +72,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.analysis.source import SourceFile, SourceSession, iter_python_files
+from repro.analysis.source import (
+    UNSEEDED_NP_FUNCS,
+    WALLCLOCK_CALLS,
+    SourceFile,
+    SourceSession,
+    iter_python_files,
+)
 
 __all__ = ["Violation", "iter_python_files", "lint_files", "lint_paths", "main"]
 
-WALLCLOCK_CALLS = {
-    "time.time",
-    "time.monotonic",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-}
-
 BLOCKING_CALLS = {"time.sleep", "os.system", "input", "breakpoint"}
 BLOCKING_PREFIXES = ("subprocess.", "socket.", "requests.", "urllib.")
-
-#: ``np.random.<fn>`` calls that hit numpy's unseeded global state.
-UNSEEDED_NP_FUNCS = {
-    "rand", "randn", "random", "randint", "random_sample", "choice",
-    "shuffle", "permutation", "seed", "bytes", "normal", "uniform",
-}
 
 CONFIG_BASE_NAMES = {"cfg", "config", "api"}
 
@@ -217,15 +205,11 @@ class _FileLinter:
         self.config_attrs = config_attrs
         self.violations: List[Violation] = []
         parts = path.as_posix().split("/")
-        #: ``bench`` measures host wall time legitimately, and the
-        #: store's ``meta.py`` is the sanctioned provenance stamper
-        #: (``generated_unix``/``git_sha`` describe when a run happened
-        #: and never feed simulated time); ``rng.py`` is the
-        #: seeded-stream factory itself.  Seeded calls like
+        #: ``bench`` measures host wall time legitimately (it also stamps
+        #: the ``generated_unix`` provenance of its export); ``rng.py`` is
+        #: the seeded-stream factory itself.  Seeded calls like
         #: ``np.random.default_rng(seed)`` pass everywhere.
-        self.wallclock_ok = "bench" in parts or (
-            "store" in parts and path.name == "meta.py"
-        )
+        self.wallclock_ok = "bench" in parts
         self.random_ok = "bench" in parts or path.name == "rng.py"
         #: The engine owns its queues; everyone else uses the narrow API.
         self.scheduler_internals_ok = (

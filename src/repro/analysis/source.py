@@ -18,6 +18,42 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+#: Wall-clock reads by dotted call name, with the description the taint
+#: pack reports.  The lint (AGL001) flags these in simulated code; the
+#: taint pack (AGL009) tracks them as value-nondeterminism sources.
+WALLCLOCK_CALLS: Dict[str, str] = {
+    "time.time": "wall clock (time.time)",
+    "time.monotonic": "wall clock (time.monotonic)",
+    "time.perf_counter": "wall clock (time.perf_counter)",
+    "time.perf_counter_ns": "wall clock (time.perf_counter_ns)",
+    "time.process_time": "wall clock (time.process_time)",
+    "datetime.now": "wall clock (datetime.now)",
+    "datetime.utcnow": "wall clock (datetime.utcnow)",
+    "datetime.datetime.now": "wall clock (datetime.now)",
+    "datetime.datetime.utcnow": "wall clock (datetime.utcnow)",
+}
+
+#: Every value-entropy source by dotted call name: the wall clock plus OS
+#: entropy, random UUIDs and secrets.
+ND_CALLS: Dict[str, str] = {
+    **WALLCLOCK_CALLS,
+    "os.urandom": "os.urandom",
+    "uuid.uuid1": "uuid.uuid1",
+    "uuid.uuid4": "uuid.uuid4",
+    "secrets.token_bytes": "secrets",
+    "secrets.token_hex": "secrets",
+    "secrets.randbelow": "secrets",
+}
+
+#: ``np.random.<fn>`` calls that touch numpy's unseeded global generator
+#: (``seed`` mutates it: any later global draw depends on the call order).
+UNSEEDED_NP_FUNCS = frozenset(
+    {
+        "rand", "randn", "random", "randint", "random_sample", "choice",
+        "shuffle", "permutation", "seed", "bytes", "normal", "uniform",
+    }
+)
+
 
 @dataclass(frozen=True)
 class Finding:

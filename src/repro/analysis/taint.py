@@ -42,7 +42,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import ForBind, Item, Test, WithBind, build_cfg, iter_functions
 from repro.analysis.dataflow import Env, ForwardSolver
-from repro.analysis.source import Finding, SourceFile, dotted_name
+from repro.analysis.source import (
+    ND_CALLS,
+    UNSEEDED_NP_FUNCS,
+    Finding,
+    SourceFile,
+    dotted_name,
+)
 
 # Label kinds: ("nd", desc) value nondeterminism; ("set", desc) unordered
 # collection; ("ord", desc) value bound by unordered iteration;
@@ -51,31 +57,6 @@ Label = Tuple[str, object]
 Taint = FrozenSet[Label]
 
 EMPTY: Taint = frozenset()
-
-#: Wall-clock/value-entropy sources by dotted call name.
-ND_CALLS: Dict[str, str] = {
-    "time.time": "wall clock (time.time)",
-    "time.monotonic": "wall clock (time.monotonic)",
-    "time.perf_counter": "wall clock (time.perf_counter)",
-    "time.perf_counter_ns": "wall clock (time.perf_counter_ns)",
-    "time.process_time": "wall clock (time.process_time)",
-    "datetime.now": "wall clock (datetime.now)",
-    "datetime.utcnow": "wall clock (datetime.utcnow)",
-    "datetime.datetime.now": "wall clock (datetime.now)",
-    "datetime.datetime.utcnow": "wall clock (datetime.utcnow)",
-    "os.urandom": "os.urandom",
-    "uuid.uuid1": "uuid.uuid1",
-    "uuid.uuid4": "uuid.uuid4",
-    "secrets.token_bytes": "secrets",
-    "secrets.token_hex": "secrets",
-    "secrets.randbelow": "secrets",
-}
-
-#: ``np.random.<fn>`` functions that hit the unseeded global generator.
-UNSEEDED_NP_FUNCS = {
-    "rand", "randn", "random", "randint", "random_sample", "choice",
-    "shuffle", "permutation", "bytes", "normal", "uniform",
-}
 
 #: Scheduler/event/seed sinks by (attribute or bare) callee name.
 SINKS: Dict[str, str] = {

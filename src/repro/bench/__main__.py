@@ -84,63 +84,51 @@ def perf(argv: list[str]) -> int:
     return 1 if failed else 0
 
 
-def serve(argv: list[str]) -> int:
-    """Serving-layer saturation smoke: a small open-loop sweep on every
-    system (AGILE / BaM / naive) with per-point goodput and tail latency.
-
-    Thin shim over ``python -m repro.serve sweep`` so serving lives beside
-    the other bench targets; all sweep options pass through.
-    """
-    from repro.serve.__main__ import main as serve_main
-
-    return serve_main(["sweep", *argv])
+def export_points(quick: bool) -> tuple:
+    """The export's Fig. 5 table points ``(num_ssds, total_requests)``
+    and its perf-point request count."""
+    if quick:
+        return [(1, 512), (2, 512)], 1024
+    return [(1, 1024), (1, 4096), (2, 4096), (4, 4096)], 4096
 
 
-def _serve_saturation_section(quick: bool) -> dict:
-    """Serve sweep results in the BENCH.json trend shape."""
-    from repro.serve.__main__ import DEFAULT_LOADS, QUICK_LOADS
-    from repro.serve.sweep import SweepSpec, curves_as_dict, run_saturation_sweep
+def export_config_hash(quick: bool) -> str:
+    from repro.config import stable_hash
 
-    spec = SweepSpec(
-        loads_rps=QUICK_LOADS if quick else DEFAULT_LOADS,
-        duration_ns=2_000_000.0 if quick else 10_000_000.0,
+    table_points, perf_requests = export_points(quick)
+    return stable_hash(
+        {
+            "family": "agile-bench-trend",
+            "quick": quick,
+            "table_points": table_points,
+            "perf_requests": perf_requests,
+        }
     )
-    curves = run_saturation_sweep(spec)
-    return {
-        "seed": spec.seed,
-        "duration_ns": spec.duration_ns,
-        "loads_rps": list(spec.loads_rps),
-        "curves": curves_as_dict(curves),
-    }
-
-
-def _placement_section(quick: bool) -> dict:
-    """Placement-policy comparison in the BENCH.json trend shape: every
-    policy head-to-head on a 4-SSD hotspot trace, with per-device read
-    counts and the max/mean utilization skew ratio per policy."""
-    from repro.serve.__main__ import SMOKE_RATE_RPS, SMOKE_SKEW
-    from repro.serve.sweep import PLACEMENTS, SweepSpec, placement_comparison
-
-    spec = SweepSpec(
-        loads_rps=(SMOKE_RATE_RPS,),
-        duration_ns=1_000_000.0 if quick else 3_000_000.0,
-        num_ssds=4,
-        skew=SMOKE_SKEW,
-    )
-    return placement_comparison(spec, SMOKE_RATE_RPS, placements=PLACEMENTS)
 
 
 def export(argv: list[str]) -> int:
     """Machine-readable bench snapshot for the CI trend artifact.
 
-    Writes one JSON document holding a Fig. 5-style read-bandwidth table,
-    the scheduler-throughput (events/sec) measurement, per-point device
-    error counts (zero on every fault-free run — a nonzero value here is a
+    Writes one cell-grid document (the shape every artifact shares) whose
+    ``section`` axis holds a Fig. 5-style read-bandwidth table, the
+    scheduler-throughput (events/sec) measurement, per-point device error
+    counts (zero on every fault-free run — a nonzero value here is a
     regression even when bandwidth looks fine), the serving-layer
     saturation curves (goodput + p99 vs offered load per system), and the
     placement-policy comparison (per-device utilization + skew ratio per
     policy on a hotspot trace).
     """
+    from repro.serve.scenario import cell, prefixed
+    from repro.serve.sweep import (
+        DEFAULT_LOADS,
+        PLACEMENTS,
+        QUICK_LOADS,
+        PlacementSpec,
+        SweepSpec,
+        placement_cells,
+        saturation_cells,
+    )
+    from repro.store.meta import BENCH_TREND_SCHEMA, stamp
     from repro.workloads.io_sweep import run_bandwidth_sweep
 
     out = "BENCH.json"
@@ -154,75 +142,76 @@ def export(argv: list[str]) -> int:
         else:
             print(f"export: unknown option {arg!r}", file=sys.stderr)
             return 2
-    if quick:
-        table_points = [(1, 512), (2, 512)]
-        perf_requests = 1024
-    else:
-        table_points = [(1, 1024), (1, 4096), (2, 4096), (4, 4096)]
-        perf_requests = 4096
+    table_points, perf_requests = export_points(quick)
 
-    table = []
+    # Fig. 5 rows: the telemetry snapshot rides beside the metrics (raw
+    # payload, not store points).
+    cells = []
     for num_ssds, total_requests in table_points:
         point = run_bandwidth_sweep(
             "read", num_ssds=num_ssds, total_requests=total_requests,
             telemetry=True,
         )
-        table.append(
+        row = cell(
             {
+                "section": "fig5",
                 "op": "read",
                 "num_ssds": point.num_ssds,
                 "total_requests": point.total_requests,
+            },
+            {
                 "duration_ns": point.duration_ns,
                 "bandwidth_gbps": point.bandwidth_gbps,
                 "sim_events": point.sim_events,
                 "device_errors": point.device_errors,
-                "telemetry": point.telemetry,
-            }
+            },
         )
+        row["telemetry"] = point.telemetry
+        cells.append(row)
+    device_errors = sum(c["metrics"]["device_errors"] for c in cells)
 
     start = time.perf_counter()
     point = run_bandwidth_sweep(
         "read", num_ssds=1, total_requests=perf_requests, num_threads=64
     )
     wall = time.perf_counter() - start
-    from repro.config import stable_hash
-    from repro.store.meta import BENCH_TREND_SCHEMA, stamp
-
-    # /2 adds git_sha + config_hash (the store's baseline key); the
-    # store's ingest adapters keep a compat reader for /1 artifacts.
+    perf = {
+        "sim_events": point.sim_events,
+        "wall_s": wall,
+        "events_per_sec": point.sim_events / wall if wall > 0 else 0.0,
+        "sim_ns_per_sec": point.duration_ns / wall if wall > 0 else 0.0,
+        "total_requests": point.total_requests,
+        "bandwidth_gbps": point.bandwidth_gbps,
+        "device_errors": point.device_errors,
+    }
+    cells.append(cell({"section": "perf"}, perf))
+    serve_spec = SweepSpec(
+        loads_rps=QUICK_LOADS if quick else DEFAULT_LOADS,
+        duration_ns=2_000_000.0 if quick else 10_000_000.0,
+    )
+    cells += prefixed({"section": "serve"}, saturation_cells(serve_spec))
+    placement_spec = PlacementSpec(
+        placements=PLACEMENTS,
+        duration_ns=1_000_000.0 if quick else 3_000_000.0,
+    )
+    cells += prefixed(
+        {"section": "placement"}, placement_cells(placement_spec)
+    )
     doc = {
         "generated_unix": time.time(),
         "python": platform.python_version(),
         "quick": quick,
-        "config_hash": stable_hash(
-            {
-                "family": "agile-bench-trend",
-                "quick": quick,
-                "table_points": table_points,
-                "perf_requests": perf_requests,
-            }
-        ),
-        "fig5_read_bandwidth": table,
-        "perf": {
-            "sim_events": point.sim_events,
-            "wall_s": wall,
-            "events_per_sec": point.sim_events / wall if wall > 0 else 0.0,
-            "sim_ns_per_sec": point.duration_ns / wall if wall > 0 else 0.0,
-            "total_requests": point.total_requests,
-            "bandwidth_gbps": point.bandwidth_gbps,
-            "device_errors": point.device_errors,
-        },
-        "serve_saturation": _serve_saturation_section(quick),
-        "placement": _placement_section(quick),
+        "config_hash": export_config_hash(quick),
+        "cells": cells,
     }
     stamp(doc, BENCH_TREND_SCHEMA)
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
-        f"export: wrote {out} ({len(table)} table points, "
-        f"{doc['perf']['events_per_sec']:,.0f} events/s, "
-        f"{sum(r['device_errors'] for r in table)} device errors)"
+        f"export: wrote {out} ({len(table_points)} table points, "
+        f"{perf['events_per_sec']:,.0f} events/s, "
+        f"{device_errors} device errors)"
     )
     return 0
 
@@ -233,8 +222,6 @@ def _dispatch(argv: list[str]) -> int:
         return perf(argv[1:])
     if argv and argv[0] == "export":
         return export(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve(argv[1:])
     if not argv or argv[0] in ("-h", "--help", "list"):
         print("available targets:")
         for name in registry:
@@ -243,7 +230,6 @@ def _dispatch(argv: list[str]) -> int:
         print("  perf [--min-eps N] [--min-sim-ns-per-s N] [--requests N] "
               "[--threads N]")
         print("  export [--out FILE] [--quick]")
-        print("  serve [--quick] [--loads ...] [--out FILE]   (saturation sweep)")
         print("  --trace FILE <target>   (Chrome-trace timeline of the run)")
         return 0
     targets = list(registry) if argv == ["all"] else argv

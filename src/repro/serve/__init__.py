@@ -4,10 +4,15 @@ Open-loop load generation (Poisson / MMPP / trace replay), bounded
 admission with explicit load shedding — FIFO or weighted-fair with
 per-class shed guards (:mod:`repro.serve.wfq`) — dynamic batching into
 kernel launches, fair-share dispatch across one or more simulated GPUs,
-per-class SLO accounting on the telemetry spine, and the multi-tenant
-scenario matrix (:mod:`repro.serve.tenancy`).  Tenant classes come from
-the registry (:mod:`repro.serve.registry`): construct them with
-:func:`tenant_class`, never ad hoc.
+per-class SLO accounting on the telemetry spine, and the experiments
+built on them: every one is a cell-grid :class:`Scenario`
+(:mod:`repro.serve.scenario`) — the saturation sweep and placement
+comparison (:mod:`repro.serve.sweep`), the write path
+(:mod:`repro.serve.writepath`), the multi-tenant matrix
+(:mod:`repro.serve.tenancy`) and design-space exploration
+(:mod:`repro.serve.explore`).  Tenant classes come from the registry
+(:mod:`repro.serve.registry`): construct them with :func:`tenant_class`,
+never ad hoc.
 
 Entirely additive: nothing here runs unless a :class:`ServeEngine` is
 constructed, so closed-loop benchmarks and golden traces are untouched.
@@ -26,6 +31,7 @@ from repro.serve.backends import (
     BamServeBackend,
     NaiveServeBackend,
     ServeBackend,
+    build_backend,
 )
 from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
 from repro.serve.dispatch import Dispatcher
@@ -40,28 +46,14 @@ from repro.serve.request import (
     TERMINAL_STATES,
 )
 from repro.serve.slo import ClassReport, ServeReport, SloAccountant
+from repro.serve.scenario import Scenario, run_scenario, serve_cell
 from repro.serve.sweep import (
     ServePoint,
     SweepSpec,
-    build_backend,
     knee_rps,
-    run_saturation_sweep,
     run_serve_point,
 )
 from repro.serve.wfq import TenancyConfig, TenantShare, WeightedFairAdmission
-
-#: Lazy (PEP 562) re-exports: repro.serve.tenancy builds workload traces,
-#: so importing it eagerly here would cycle through the workload modules
-#: (they import repro.serve.arrival, whose package init is this file).
-_TENANCY_EXPORTS = ("TenancySpec", "run_tenancy_cell", "tenancy_matrix")
-
-
-def __getattr__(name: str):
-    if name in _TENANCY_EXPORTS:
-        from repro.serve import tenancy
-
-        return getattr(tenancy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdmissionQueue",
@@ -87,20 +79,19 @@ __all__ = [
     "ServePoint",
     "ServeReport",
     "ServeStateError",
+    "Scenario",
     "SloAccountant",
     "SweepSpec",
     "TERMINAL_STATES",
     "TenancyConfig",
-    "TenancySpec",
     "TenantShare",
     "TraceReplay",
     "WeightedFairAdmission",
     "build_backend",
     "knee_rps",
-    "run_saturation_sweep",
+    "run_scenario",
     "run_serve_point",
-    "run_tenancy_cell",
-    "tenancy_matrix",
+    "serve_cell",
     "tenant_class",
     "trace_from_access_stream",
 ]

@@ -528,3 +528,19 @@ class NaiveServeBackend(ServeBackend):
         )
         launch = self.host.launch_kernel(kernel, cfg, args=(None,))
         yield launch.done
+
+
+#: Serve systems, in the order sweeps report them.
+SYSTEMS = ("agile", "bam", "naive")
+
+
+def build_backend(
+    system: str, cfg: Optional[SystemConfig] = None, num_gpus: int = 1
+) -> ServeBackend:
+    if system == "agile":
+        return AgileServeBackend(cfg, num_gpus=num_gpus)
+    if system == "bam":
+        return BamServeBackend(cfg)
+    if system == "naive":
+        return NaiveServeBackend(cfg)
+    raise ValueError(f"unknown serve system {system!r} (want one of {SYSTEMS})")

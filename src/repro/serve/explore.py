@@ -1,12 +1,11 @@
-"""Design-space exploration: parameter grids that populate the store.
+"""Design-space exploration: parameter grids over the machine.
 
 EagleTree's thesis — the design space, not a single point, is the object
-of study — made runnable: ``run_explore`` crosses cache size x SQ depth
-x SSD count x arrival process, serves the standard two-tenant mix on a
-fresh simulated machine per cell via the existing serve machinery, and
-emits one ``agile-explore/1`` document whose cells ingest straight into
-the results store (axes = the grid coordinates, metrics = the serve
-report).  Everything is seed-deterministic: same spec, same document.
+of study — made runnable: the :data:`EXPLORE` scenario crosses cache size
+x SQ depth x SSD count x arrival process and serves the standard
+two-tenant mix on a fresh simulated machine per cell (axes = the grid
+coordinates, metrics = the serve report).  Everything is
+seed-deterministic: same spec, same document.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from typing import Dict, List, Tuple
 
 from repro.config import CacheConfig, PlacementConfig, SystemConfig, stable_hash
 from repro.serve.arrival import ArrivalProcess, Mmpp, Poisson
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
-from repro.serve.sweep import SweepSpec, build_backend, standard_classes
+from repro.serve.scenario import Scenario, cell, serve_cell
+from repro.serve.sweep import SweepSpec, standard_classes
 
-#: Arrival-process kinds the ``--arrivals`` axis accepts.
+#: Arrival-process kinds the ``arrivals`` axis accepts.
 ARRIVALS = ("poisson", "mmpp")
 
 
@@ -38,7 +36,7 @@ class ExploreSpec:
     system: str = "agile"
     placement: str = "striped"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for kind in self.arrivals:
             if kind not in ARRIVALS:
                 raise ValueError(
@@ -54,8 +52,8 @@ class ExploreSpec:
         return stable_hash({"explore": asdict(self)})
 
     @property
-    def cells(self) -> List[Dict[str, object]]:
-        """The full cross product, in deterministic axis order."""
+    def grid(self) -> List[Dict[str, object]]:
+        """The full cross product's axes, in deterministic axis order."""
         return [
             {
                 "cache_lines": cache,
@@ -82,49 +80,40 @@ def _arrival_for(kind: str, rate_rps: float) -> ArrivalProcess:
     return Mmpp(calm_rps=0.5 * rate_rps, burst_rps=3.0 * rate_rps)
 
 
-def _cell_config(spec: ExploreSpec, cell: Dict[str, object]) -> SystemConfig:
-    ssds = int(cell["ssds"])  # type: ignore[arg-type]
+def _cell_config(spec: ExploreSpec, axes: Dict[str, object]) -> SystemConfig:
+    ssds = int(axes["ssds"])  # type: ignore[arg-type]
     policy = spec.placement if ssds > 1 else "identity"
     cfg = SystemConfig(
         seed=spec.seed,
-        cache=CacheConfig(num_lines=int(cell["cache_lines"])),  # type: ignore[arg-type]
-        queue_depth=int(cell["queue_depth"]),  # type: ignore[arg-type]
+        cache=CacheConfig(num_lines=int(axes["cache_lines"])),  # type: ignore[arg-type]
+        queue_depth=int(axes["queue_depth"]),  # type: ignore[arg-type]
         placement=PlacementConfig(policy=policy),
     )
     return cfg.with_ssds(ssds)
 
 
 def run_explore_cell(
-    spec: ExploreSpec, cell: Dict[str, object]
+    spec: ExploreSpec, axes: Dict[str, object]
 ) -> Dict[str, object]:
     """Serve one grid cell on a fresh machine; return its metric dict."""
     sweep = SweepSpec(
         loads_rps=(spec.rate_rps,),
         duration_ns=spec.duration_ns,
         seed=spec.seed,
-        num_ssds=int(cell["ssds"]),  # type: ignore[arg-type]
+        num_ssds=int(axes["ssds"]),  # type: ignore[arg-type]
     )
     classes = standard_classes(sweep)
     arrivals = {
-        cls.name: _arrival_for(str(cell["arrival"]), spec.rate_rps * cls.weight)
+        cls.name: _arrival_for(str(axes["arrival"]), spec.rate_rps * cls.weight)
         for cls in classes
     }
-    backend = build_backend(spec.system, _cell_config(spec, cell))
-    backend.load_pattern(classes)
-    engine = ServeEngine(
-        backend,
+    report = serve_cell(
+        spec.system,
+        _cell_config(spec, axes),
         classes,
-        arrivals,
-        ServeConfig(
-            duration_ns=spec.duration_ns,
-            admission_capacity=sweep.admission_capacity,
-            batch=BatchPolicy(
-                max_batch=sweep.max_batch, max_wait_ns=sweep.max_wait_ns
-            ),
-        ),
-        seed=spec.seed,
+        lambda _backend: arrivals,
+        sweep,
     )
-    report = engine.run()
     return {
         "goodput_rps": report.goodput_rps,
         "p99_ns": report.p99_ns,
@@ -138,26 +127,13 @@ def run_explore_cell(
     }
 
 
-def run_explore(spec: ExploreSpec) -> Dict[str, object]:
-    """The whole grid as one ingest-ready ``agile-explore/1`` document.
-
-    Pure with respect to wall clock and provenance: the caller stamps
-    ``git_sha``/``generated_unix`` (see :mod:`repro.store.meta`), which
-    keeps this function's output bit-identical for identical specs — the
-    property the determinism test pins.
-    """
-    spec.validate()
-    cells = [
-        {"axes": cell, "metrics": run_explore_cell(spec, cell)}
-        for cell in spec.cells
-    ]
-    return {
-        "schema": "agile-explore/1",
-        "config_hash": spec.config_hash(),
-        "seed": spec.seed,
-        "system": spec.system,
-        "rate_rps": spec.rate_rps,
-        "duration_ns": spec.duration_ns,
-        "placement": spec.placement,
-        "cells": cells,
-    }
+EXPLORE = Scenario(
+    name="explore",
+    family="agile-explore",
+    quick=lambda seed: ExploreSpec(seed=seed),
+    default=lambda seed: ExploreSpec(seed=seed),
+    cells=lambda spec: [
+        cell(axes, run_explore_cell(spec, axes)) for axes in spec.grid
+    ],
+    config_hash=ExploreSpec.config_hash,
+)

@@ -13,30 +13,27 @@ lookups, tight SLO, 80 % of traffic) and ``scan`` (4-page reads, looser
 SLO, 20 %) — both Poisson.  Identical seeds produce identical arrival
 timelines on every system, so curves are directly comparable point by
 point and bit-identical across runs.
+
+Two scenarios live here: :data:`SWEEP` (systems × loads on each
+(array size, placement) machine) and :data:`PLACEMENT`, the
+striped-vs-shard head-to-head on a hotspot trace whose headline check
+fails unless striping spreads the hot head better than static sharding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.config import PlacementConfig, SystemConfig, stable_hash
 from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import (
-    AgileServeBackend,
-    BamServeBackend,
-    NaiveServeBackend,
-    ServeBackend,
-)
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.backends import SYSTEMS
 from repro.serve.registry import POINT, SCAN, tenant_class
 from repro.serve.request import RequestClass
+from repro.serve.scenario import Cell, Scenario, cell, prefixed, serve_cell
 from repro.serve.slo import ServeReport
 
-SYSTEMS = ("agile", "bam", "naive")
-
-#: Placement policies the sweep's ``--placement`` axis accepts (identity is
+#: Placement policies the sweep's ``placements`` axis accepts (identity is
 #: reachable too, but only on a 1-SSD machine).
 PLACEMENTS = ("shard", "striped", "load_aware", "tenant_affine")
 
@@ -44,10 +41,15 @@ PLACEMENTS = ("shard", "striped", "load_aware", "tenant_affine")
 POINT_FRACTION = 0.8
 SCAN_FRACTION = 0.2
 
+#: Default offered loads (requests/s) — chosen to straddle every system's
+#: knee at the default 2-SSD machine and 10 ms window.
+DEFAULT_LOADS = (10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0, 320_000.0)
+QUICK_LOADS = (20_000.0, 80_000.0)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One saturation sweep's fixed parameters."""
+    """One saturation curve's fixed parameters."""
 
     loads_rps: Sequence[float]
     duration_ns: float = 10_000_000.0
@@ -76,15 +78,6 @@ class ServePoint:
     system: str
     offered_rps: float
     report: ServeReport
-
-    def as_dict(self) -> Dict[str, object]:
-        # The point's label wins over the report's: write-path points
-        # relabel the same backend ("agile" vs "agile-gc-off").
-        return {
-            **self.report.as_dict(),
-            "system": self.system,
-            "target_rps": self.offered_rps,
-        }
 
 
 def standard_classes(spec: SweepSpec) -> List[RequestClass]:
@@ -126,18 +119,6 @@ def standard_arrivals(
     }
 
 
-def build_backend(
-    system: str, cfg: Optional[SystemConfig] = None, num_gpus: int = 1
-) -> ServeBackend:
-    if system == "agile":
-        return AgileServeBackend(cfg, num_gpus=num_gpus)
-    if system == "bam":
-        return BamServeBackend(cfg)
-    if system == "naive":
-        return NaiveServeBackend(cfg)
-    raise ValueError(f"unknown serve system {system!r} (want one of {SYSTEMS})")
-
-
 def _system_config(spec: SweepSpec) -> SystemConfig:
     """The simulated machine: ``num_ssds`` devices behind the spec's
     placement policy.  A shard policy spans exactly the two class regions
@@ -158,40 +139,15 @@ def run_serve_point(
     system: str, rate_rps: float, spec: SweepSpec, num_gpus: int = 1
 ) -> ServePoint:
     """Serve one offered-load point on one system (a fresh machine)."""
-    backend = build_backend(system, _system_config(spec), num_gpus=num_gpus)
-    classes = standard_classes(spec)
-    serve_cfg = ServeConfig(
-        duration_ns=spec.duration_ns,
-        admission_capacity=spec.admission_capacity,
-        batch=BatchPolicy(
-            max_batch=spec.max_batch, max_wait_ns=spec.max_wait_ns
-        ),
+    report = serve_cell(
+        system,
+        _system_config(spec),
+        standard_classes(spec),
+        lambda _backend: standard_arrivals(spec, rate_rps),
+        spec,
+        num_gpus=num_gpus,
     )
-    backend.load_pattern(classes)
-    engine = ServeEngine(
-        backend,
-        classes,
-        standard_arrivals(spec, rate_rps),
-        serve_cfg,
-        seed=spec.seed,
-    )
-    report = engine.run()
     return ServePoint(system=system, offered_rps=rate_rps, report=report)
-
-
-def run_saturation_sweep(
-    spec: SweepSpec,
-    systems: Sequence[str] = SYSTEMS,
-    num_gpus: int = 1,
-) -> Dict[str, List[ServePoint]]:
-    """The full curve: every system at every offered load."""
-    curves: Dict[str, List[ServePoint]] = {}
-    for system in systems:
-        curves[system] = [
-            run_serve_point(system, rate, spec, num_gpus=num_gpus)
-            for rate in spec.loads_rps
-        ]
-    return curves
 
 
 def knee_rps(points: Sequence[ServePoint]) -> float:
@@ -207,96 +163,202 @@ def knee_rps(points: Sequence[ServePoint]) -> float:
     return knee
 
 
-def curves_as_dict(
-    curves: Dict[str, List[ServePoint]]
-) -> Dict[str, object]:
-    return {
-        system: {
-            "points": [pt.as_dict() for pt in points],
-            "knee_rps": knee_rps(points),
-        }
-        for system, points in sorted(curves.items())
-    }
+def curve_cells(
+    axes: Mapping[str, object], points: Sequence[ServePoint]
+) -> List[Cell]:
+    """One curve: a cell per offered load (``target_rps`` axis) plus the
+    knee as a cell on the curve's own axes."""
+    cells = [
+        cell({**axes, "target_rps": pt.offered_rps}, pt.report.as_dict())
+        for pt in points
+    ]
+    cells.append(cell(axes, {"knee_rps": knee_rps(points)}))
+    return cells
 
 
-# -- placement axes -----------------------------------------------------------
+def saturation_cells(
+    spec: SweepSpec, systems: Sequence[str] = SYSTEMS, num_gpus: int = 1
+) -> List[Cell]:
+    """Every system at every offered load of ``spec``."""
+    cells: List[Cell] = []
+    for system in systems:
+        points = [
+            run_serve_point(system, rate, spec, num_gpus=num_gpus)
+            for rate in spec.loads_rps
+        ]
+        cells.extend(curve_cells({"system": system}, points))
+    return cells
 
 
-def grid_label(num_ssds: int, placement: str) -> str:
-    return f"ssds={num_ssds},placement={placement}"
+# -- the sweep scenario -------------------------------------------------------
 
 
-def run_placement_grid(
-    spec: SweepSpec,
-    ssd_counts: Sequence[int],
-    placements: Sequence[str],
-    systems: Sequence[str] = ("agile",),
-    num_gpus: int = 1,
-) -> Dict[str, Dict[str, List[ServePoint]]]:
-    """The scaled-out sweep: a full saturation curve per (array size,
-    placement policy) cell.  Keys are :func:`grid_label` strings."""
-    grid: Dict[str, Dict[str, List[ServePoint]]] = {}
-    for count in ssd_counts:
-        for placement in placements:
-            cell = replace(spec, num_ssds=count, placement=placement)
-            grid[grid_label(count, placement)] = run_saturation_sweep(
-                cell, systems=systems, num_gpus=num_gpus
-            )
-    return grid
-
-
-def grid_as_dict(
-    grid: Dict[str, Dict[str, List[ServePoint]]]
-) -> Dict[str, object]:
-    return {label: curves_as_dict(curves) for label, curves in grid.items()}
-
-
-def placement_comparison(
-    spec: SweepSpec,
-    rate_rps: float,
-    placements: Sequence[str] = PLACEMENTS,
-    system: str = "agile",
-) -> Dict[str, object]:
-    """Head-to-head policies at one offered load on one machine size.
-
-    The bench export and the CI placement-smoke job both read this: under
-    a hotspot (``spec.skew > 0``) striping should spread the hot head
-    across devices (low ``skew_ratio``) while static sharding funnels it
-    onto one device — visible as a higher skew ratio and, at a saturating
-    rate, lower goodput.
-    """
-    policies: Dict[str, object] = {}
+def _check_placements(placements: Sequence[str]) -> None:
     for placement in placements:
-        pt = run_serve_point(
-            system, rate_rps, replace(spec, placement=placement)
+        if placement not in PLACEMENTS + ("identity",):
+            raise ValueError(
+                f"unknown placement {placement!r}; want one of {PLACEMENTS}"
+            )
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """The saturation-sweep grid: one curve per system on each
+    (array size, placement policy) machine."""
+
+    loads_rps: Tuple[float, ...] = DEFAULT_LOADS
+    systems: Tuple[str, ...] = SYSTEMS
+    ssds: Tuple[int, ...] = (2,)
+    placements: Tuple[str, ...] = ("striped",)
+    duration_ns: float = 10_000_000.0
+    seed: int = 7
+    #: Fraction of page draws redirected to the hot head of each class
+    #: region (0 = uniform).
+    skew: float = 0.0
+    #: Stripe chunk size in pages (striped placement).
+    stripe_pages: int = 1
+    num_gpus: int = 1
+
+    def __post_init__(self) -> None:
+        for system in self.systems:
+            if system not in SYSTEMS:
+                raise ValueError(
+                    f"unknown system {system!r}; want one of {SYSTEMS}"
+                )
+        _check_placements(self.placements)
+
+    def curve_spec(self) -> SweepSpec:
+        return SweepSpec(
+            loads_rps=self.loads_rps,
+            duration_ns=self.duration_ns,
+            seed=self.seed,
+            stripe_pages=self.stripe_pages,
+            skew=self.skew,
         )
-        policies[placement] = {
-            "goodput_rps": pt.report.goodput_rps,
-            "p99_ns": pt.report.p99_ns,
-            "completed": pt.report.completed,
-            "skew_ratio": pt.report.skew_ratio,
-            "device_reads": list(pt.report.device_reads),
+
+
+def sweep_cells(grid: SweepGrid) -> List[Cell]:
+    base = grid.curve_spec()
+    cells: List[Cell] = []
+    for count in grid.ssds:
+        for placement in grid.placements:
+            spec = replace(base, num_ssds=count, placement=placement)
+            cells.extend(
+                prefixed(
+                    {"ssds": count, "placement": placement},
+                    saturation_cells(spec, grid.systems, grid.num_gpus),
+                )
+            )
+    return cells
+
+
+def sweep_config_hash(grid: SweepGrid) -> str:
+    return stable_hash(
+        {
+            "family": "agile-serve-sweep",
+            "spec": grid.curve_spec(),
+            "ssd_counts": list(grid.ssds),
+            "placements": list(grid.placements),
+            "systems": list(grid.systems),
+            "num_gpus": grid.num_gpus,
         }
-    # The schema tag lives here (not in the CLI) so the comparison carries
-    # it wherever it is embedded — the standalone placement_smoke.json and
-    # the BENCH.json placement section ingest identically.  The literal
-    # matches repro.store.meta.PLACEMENT_SMOKE_SCHEMA; importing it would
-    # cycle (repro.store.explore drives this module).
-    return {
-        "schema": "agile-placement-smoke/1",
-        "system": system,
-        "num_ssds": spec.num_ssds,
-        "rate_rps": rate_rps,
-        "skew": spec.skew,
-        "seed": spec.seed,
-        "config_hash": stable_hash(
-            {
-                "family": "agile-placement-smoke",
-                "spec": spec,
-                "rate_rps": rate_rps,
-                "placements": list(placements),
-                "system": system,
-            }
-        ),
-        "policies": policies,
-    }
+    )
+
+
+SWEEP = Scenario(
+    name="sweep",
+    family="agile-serve-sweep",
+    quick=lambda seed: SweepGrid(loads_rps=QUICK_LOADS, seed=seed),
+    default=lambda seed: SweepGrid(seed=seed),
+    cells=sweep_cells,
+    config_hash=sweep_config_hash,
+)
+
+
+# -- the placement scenario ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlacementSpec:
+    """Placement policies head to head on AGILE at one offered load on one
+    machine size, under a hotspot: striping should spread the hot head across
+    devices (low ``skew_ratio``) while static sharding funnels it onto
+    one device."""
+
+    placements: Tuple[str, ...] = ("shard", "striped")
+    #: Past the sharded machine's knee under the hotspot, inside the
+    #: striped one's.
+    rate_rps: float = 80_000.0
+    num_ssds: int = 4
+    skew: float = 0.8
+    duration_ns: float = 5_000_000.0
+    seed: int = 7
+
+    def __post_init__(self) -> None:
+        _check_placements(self.placements)
+
+    def curve_spec(self) -> SweepSpec:
+        return SweepSpec(
+            loads_rps=(self.rate_rps,),
+            duration_ns=self.duration_ns,
+            seed=self.seed,
+            num_ssds=self.num_ssds,
+            skew=self.skew,
+        )
+
+
+def placement_cells(spec: PlacementSpec) -> List[Cell]:
+    base = spec.curve_spec()
+    cells = []
+    for placement in spec.placements:
+        rep = run_serve_point(
+            "agile", spec.rate_rps, replace(base, placement=placement)
+        ).report
+        cells.append(
+            cell(
+                {"policy": placement},
+                {
+                    "goodput_rps": rep.goodput_rps,
+                    "p99_ns": rep.p99_ns,
+                    "completed": rep.completed,
+                    "skew_ratio": rep.skew_ratio,
+                    "device_reads": list(rep.device_reads),
+                },
+            )
+        )
+    return cells
+
+
+def placement_config_hash(spec: PlacementSpec) -> str:
+    return stable_hash(
+        {
+            "family": "agile-placement-smoke",
+            "spec": spec.curve_spec(),
+            "rate_rps": spec.rate_rps,
+            "placements": list(spec.placements),
+            "system": "agile",
+        }
+    )
+
+
+def striping_beats_sharding(cells: Sequence[Cell]) -> List[str]:
+    skew = {c["axes"]["policy"]: c["metrics"]["skew_ratio"] for c in cells}
+    if "striped" not in skew or "shard" not in skew:
+        return []
+    if skew["striped"] >= skew["shard"]:
+        return [
+            "striped placement did not reduce per-device skew "
+            f"(striped {skew['striped']:.3f} >= shard {skew['shard']:.3f})"
+        ]
+    return []
+
+
+PLACEMENT = Scenario(
+    name="placement",
+    family="agile-placement-smoke",
+    quick=lambda seed: PlacementSpec(seed=seed),
+    default=lambda seed: PlacementSpec(seed=seed),
+    cells=placement_cells,
+    config_hash=placement_config_hash,
+    check=striping_beats_sharding,
+)

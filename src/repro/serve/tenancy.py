@@ -12,24 +12,22 @@ of the matrix runs the *identical* offered timeline through two arms:
   training weighted low and shed-tolerant);
 - **fifo** — the plain admission queue (the control arm).
 
-The headline the CI smoke gate asserts: under overload with a fault
+The headline the scenario's check asserts: under overload with a fault
 storm, the wfq arm keeps inference's completed-request p99 inside its
 SLO budget while the fifo arm blows it, and the difference is absorbed
 by batch-training *shedding* — bounded by its share's ``max_shed_frac``,
-so no class starves.  Artifact schema ``agile-tenancy/1`` (the literal
-is duplicated from ``repro.store.meta`` on purpose: importing it here
-would cycle, the same convention every serve experiment follows).
+so no class starves.
 
 Everything is seed-deterministic: arrival rng streams are named per
 class, storm plans derive from the seed, and the workload traces are
 pure functions of their specs — two runs of ``python -m repro.serve
-tenancy`` produce byte-identical artifacts.
+run tenancy`` produce byte-identical cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.config import (
     CacheConfig,
@@ -41,9 +39,7 @@ from repro.config import (
 )
 from repro.faults import plan_from_seed, program_erase_plan_from_seed
 from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import AgileServeBackend
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.backends import ServeBackend
 from repro.serve.registry import (
     CKPT,
     INFER,
@@ -53,6 +49,7 @@ from repro.serve.registry import (
     tenant_class,
 )
 from repro.serve.request import RequestClass
+from repro.serve.scenario import Cell, Scenario, cell, serve_cell
 from repro.serve.slo import ServeReport
 from repro.serve.wfq import TenancyConfig, TenantShare
 from repro.workloads.checkpoint import CheckpointSpec, checkpoint_trace
@@ -132,6 +129,9 @@ class TenancySpec:
                     f"unknown placement {placement!r} "
                     f"(want {TENANCY_PLACEMENTS})"
                 )
+        if all(storm == "none" for storm in self.storms):
+            # The summary's worst-case scalars are taken over storm cells.
+            raise ValueError("tenancy matrix needs at least one storm cell")
         if self.rate_rps <= 0:
             raise ValueError("rate_rps must be > 0")
         if self.storm_slo_factor < 1.0:
@@ -263,7 +263,7 @@ def _system_config(
 
 
 def tenancy_arrivals(
-    spec: TenancySpec, mix_name: str, backend: AgileServeBackend
+    spec: TenancySpec, mix_name: str, backend: ServeBackend
 ) -> Dict[str, ArrivalProcess]:
     """Arrival processes for one mix: KV traces are lock-step logical
     replays, checkpoints replay their shard schedule through placement,
@@ -296,10 +296,6 @@ def tenancy_arrivals(
 # -- one cell -----------------------------------------------------------------
 
 
-def cell_label(mix: str, storm: str, placement: str) -> str:
-    return f"mix={mix},storm={storm},placement={placement}"
-
-
 def run_tenancy_arm(
     spec: TenancySpec, mix_name: str, storm: str, placement: str, arm: str
 ) -> ServeReport:
@@ -307,25 +303,14 @@ def run_tenancy_arm(
     arrival timeline across arms; only the admission policy differs)."""
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r} (want {ARMS})")
-    backend = AgileServeBackend(_system_config(spec, storm, placement))
-    classes = tenancy_classes(spec)
-    backend.load_pattern(classes)
-    serve_cfg = ServeConfig(
-        duration_ns=spec.duration_ns,
-        admission_capacity=spec.admission_capacity,
-        batch=BatchPolicy(
-            max_batch=spec.max_batch, max_wait_ns=spec.max_wait_ns
-        ),
+    return serve_cell(
+        "agile",
+        _system_config(spec, storm, placement),
+        tenancy_classes(spec),
+        lambda backend: tenancy_arrivals(spec, mix_name, backend),
+        spec,
         tenancy=tenancy_shares() if arm == "wfq" else None,
     )
-    engine = ServeEngine(
-        backend,
-        classes,
-        tenancy_arrivals(spec, mix_name, backend),
-        serve_cfg,
-        seed=spec.seed,
-    )
-    return engine.run()
 
 
 def _shed_frac(report: ServeReport, name: str) -> float:
@@ -336,7 +321,7 @@ def _shed_frac(report: ServeReport, name: str) -> float:
 def _cell_headline(
     spec: TenancySpec, wfq: ServeReport, fifo: ServeReport, storm: str
 ) -> Dict[str, object]:
-    """The scalars the smoke gate and the store watch, per cell.
+    """The scalars the headline check and the store watch, per cell.
 
     ``infer_slo_budget_ns`` is the p99 budget this cell is judged
     against: the strict SLO in calm cells, ``storm_slo_factor`` times it
@@ -366,20 +351,27 @@ def _cell_headline(
 
 def run_tenancy_cell(
     spec: TenancySpec, mix_name: str, storm: str, placement: str
-) -> Dict[str, object]:
+) -> List[Cell]:
+    """One matrix cell: a cell per admission arm (``arm`` axis) plus its
+    headline (``section=headline``), all on the cell's
+    ``mix``/``storm``/``placement`` axes."""
     wfq = run_tenancy_arm(spec, mix_name, storm, placement, "wfq")
     fifo = run_tenancy_arm(spec, mix_name, storm, placement, "fifo")
-    return {
-        "wfq": wfq.as_dict(),
-        "fifo": fifo.as_dict(),
-        "headline": _cell_headline(spec, wfq, fifo, storm),
-    }
+    axes = {"mix": mix_name, "storm": storm, "placement": placement}
+    return [
+        cell({**axes, "arm": "wfq"}, wfq.as_dict()),
+        cell({**axes, "arm": "fifo"}, fifo.as_dict()),
+        cell(
+            {**axes, "section": "headline"},
+            _cell_headline(spec, wfq, fifo, storm),
+        ),
+    ]
 
 
 # -- the matrix ---------------------------------------------------------------
 
 
-def _headline_ok(headline: Dict[str, object]) -> bool:
+def _headline_ok(headline: Mapping[str, object]) -> bool:
     """One cell's interference claim: wfq keeps inference inside the
     cell's budget, fifo does not, nobody starves, and the sheds that
     protect inference land on batch training."""
@@ -393,78 +385,66 @@ def _headline_ok(headline: Dict[str, object]) -> bool:
     )
 
 
-def tenancy_matrix(spec: TenancySpec) -> Dict[str, object]:
-    """The full matrix document (schema ``agile-tenancy/1``).
-
-    ``summary.headline_ok`` is 1 iff *every* cell individually passes
+def tenancy_cells(spec: TenancySpec) -> List[Cell]:
+    """Every (mix, storm, placement) cell, plus a ``section=summary``
+    cell: ``headline_ok`` is 1 iff *every* cell individually passes
     :func:`_headline_ok` — calm cells against the strict inference
     budget, storm cells against the degraded-mode budget
     (``storm_slo_factor`` times it).  The worst-case scalars in the
     summary are taken over the storm cells, the stress condition the
     store baseline watches.
     """
-    cells: Dict[str, object] = {}
-    all_headlines: List[Dict[str, object]] = []
-    storm_headlines: List[Dict[str, object]] = []
+    cells: List[Cell] = []
     for mix_name in spec.mixes:
         for storm in spec.storms:
             for placement in spec.placements:
-                cell = run_tenancy_cell(spec, mix_name, storm, placement)
-                cells[cell_label(mix_name, storm, placement)] = cell
-                all_headlines.append(cell["headline"])
-                if storm != "none":
-                    storm_headlines.append(cell["headline"])
-    if not storm_headlines:
-        raise ValueError("tenancy matrix needs at least one storm cell")
-    shares = tenancy_shares()
-    worst = {
-        "wfq_infer_p99_ns": max(
-            float(h["wfq_infer_p99_ns"]) for h in storm_headlines
-        ),
-        "fifo_infer_p99_ns": min(
-            float(h["fifo_infer_p99_ns"]) for h in storm_headlines
-        ),
-        "wfq_infer_slo_attainment": min(
-            float(h["wfq_infer_slo_attainment"]) for h in storm_headlines
-        ),
-        "fifo_infer_slo_attainment": max(
-            float(h["fifo_infer_slo_attainment"]) for h in storm_headlines
-        ),
-        "wfq_train_shed_frac": max(
-            float(h["wfq_train_shed_frac"]) for h in storm_headlines
-        ),
-        "min_train_completed": min(
-            int(h["wfq_train_completed"]) for h in storm_headlines
-        ),
+                cells.extend(
+                    run_tenancy_cell(spec, mix_name, storm, placement)
+                )
+    headlines = [c for c in cells if c["axes"].get("section") == "headline"]
+    storm_headlines = [
+        c["metrics"] for c in headlines if c["axes"]["storm"] != "none"
+    ]
+
+    def worst(key: str, pick) -> float:
+        return pick(float(h[key]) for h in storm_headlines)
+
+    summary = {
+        "infer_slo_ns": spec.infer_slo_ns,
+        "wfq_infer_p99_ns": worst("wfq_infer_p99_ns", max),
+        "fifo_infer_p99_ns": worst("fifo_infer_p99_ns", min),
+        "wfq_infer_slo_attainment": worst("wfq_infer_slo_attainment", min),
+        "fifo_infer_slo_attainment": worst("fifo_infer_slo_attainment", max),
+        "wfq_train_shed_frac": worst("wfq_train_shed_frac", max),
+        "min_train_completed": int(worst("wfq_train_completed", min)),
+        "headline_ok": int(all(_headline_ok(c["metrics"]) for c in headlines)),
     }
+    cells.append(cell({"section": "summary"}, summary))
+    return cells
+
+
+def headline_failures(cells: Sequence[Cell]) -> List[str]:
+    return [
+        f"mix={c['axes']['mix']},storm={c['axes']['storm']},"
+        f"placement={c['axes']['placement']} lost the interference "
+        "headline (wfq inside budget, fifo outside, sheds on batch "
+        "training, nobody starved)"
+        for c in cells
+        if c["axes"].get("section") == "headline"
+        and not _headline_ok(c["metrics"])
+    ]
+
+
+def _shares_header(spec: TenancySpec) -> Dict[str, object]:
     return {
-        "schema": "agile-tenancy/1",
-        "seed": spec.seed,
-        "rate_rps": spec.rate_rps,
-        "duration_ns": spec.duration_ns,
-        "num_ssds": spec.num_ssds,
-        "mixes": list(spec.mixes),
-        "storms": list(spec.storms),
-        "placements": list(spec.placements),
-        "config_hash": stable_hash(
-            {"family": "agile-tenancy", "spec": spec}
-        ),
         "shares": {
             s.name: {
                 "weight": s.weight,
                 "priority": s.priority,
                 "max_shed_frac": s.max_shed_frac,
             }
-            for s in shares.shares
-        },
-        "cells": cells,
-        "summary": {
-            "infer_slo_ns": spec.infer_slo_ns,
-            **worst,
-            "headline_ok": int(
-                all(_headline_ok(h) for h in all_headlines)
-            ),
-        },
+            for s in tenancy_shares().shares
+        }
     }
 
 
@@ -476,3 +456,17 @@ def quick_spec(seed: int = 7) -> TenancySpec:
         storms=("none", "storm"),
         placements=("striped",),
     )
+
+
+TENANCY = Scenario(
+    name="tenancy",
+    family="agile-tenancy",
+    quick=quick_spec,
+    default=lambda seed: TenancySpec(seed=seed),
+    cells=tenancy_cells,
+    config_hash=lambda spec: stable_hash(
+        {"family": "agile-tenancy", "spec": spec}
+    ),
+    header=_shares_header,
+    check=headline_failures,
+)

@@ -20,12 +20,13 @@ free blocks, garbage-collects, and GC's relocation reads, programs, and
 erases contend with ``point``'s reads on the same flash channels.  The
 headline comparison runs the identical offered timeline twice — GC
 enabled vs disabled (in-place updates, no erases) — and the delta in
-read p99 *is* the GC pause tail.  Artifact schema: ``agile-write-path/1``.
+read p99 *is* the GC pause tail.  The scenario (:data:`WRITE_PATH`)
+fails its headline check if any eviction write-back is lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import (
@@ -36,12 +37,11 @@ from repro.config import (
     stable_hash,
 )
 from repro.serve.arrival import ArrivalProcess, Poisson
-from repro.serve.backends import AgileServeBackend
-from repro.serve.batcher import BatchPolicy
-from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.backends import ServeBackend
 from repro.serve.registry import CKPT, HOT, POINT, tenant_class
 from repro.serve.request import RequestClass
-from repro.serve.sweep import ServePoint, knee_rps
+from repro.serve.scenario import Cell, Scenario, cell, serve_cell
+from repro.serve.sweep import ServePoint, curve_cells, knee_rps
 from repro.workloads.checkpoint import CheckpointSpec, checkpoint_trace
 
 #: Tenant mix (fractions of the offered request rate; sum to 1).
@@ -155,52 +155,32 @@ def run_write_path_point(
     """Serve one offered-load point on a fresh machine; ``gc_enabled``
     toggles the FTL between out-of-place-with-GC and in-place updates on
     the *identical* arrival timeline (same seed, same rng streams)."""
-    backend = AgileServeBackend(_system_config(spec, gc_enabled))
-    classes = write_path_classes(spec)
-    backend.load_pattern(classes)
     ckpt_spec = CheckpointSpec(
         table_pages=spec.table_pages, shard_pages=spec.shard_pages
     )
-    arrivals: Dict[str, ArrivalProcess] = {
-        CKPT: checkpoint_trace(
-            ckpt_spec,
-            rate_rps * CKPT_FRACTION,
-            backend.place,
-            lba_base=0,
-            tenant=CKPT,
-        ),
-        HOT: Poisson(rate_rps * MODIFY_FRACTION),
-        POINT: Poisson(rate_rps * READ_FRACTION),
-    }
-    serve_cfg = ServeConfig(
-        duration_ns=spec.duration_ns,
-        admission_capacity=spec.admission_capacity,
-        batch=BatchPolicy(
-            max_batch=spec.max_batch, max_wait_ns=spec.max_wait_ns
-        ),
+
+    def arrivals(backend: ServeBackend) -> Dict[str, ArrivalProcess]:
+        return {
+            CKPT: checkpoint_trace(
+                ckpt_spec,
+                rate_rps * CKPT_FRACTION,
+                backend.place,
+                lba_base=0,
+                tenant=CKPT,
+            ),
+            HOT: Poisson(rate_rps * MODIFY_FRACTION),
+            POINT: Poisson(rate_rps * READ_FRACTION),
+        }
+
+    report = serve_cell(
+        "agile",
+        _system_config(spec, gc_enabled),
+        write_path_classes(spec),
+        arrivals,
+        spec,
     )
-    engine = ServeEngine(
-        backend, classes, arrivals, serve_cfg, seed=spec.seed
-    )
-    report = engine.run()
     system = "agile" if gc_enabled else "agile-gc-off"
     return ServePoint(system=system, offered_rps=rate_rps, report=report)
-
-
-def run_write_path_sweep(
-    spec: WritePathSpec, gc_enabled: bool = True
-) -> List[ServePoint]:
-    return [
-        run_write_path_point(rate, spec, gc_enabled=gc_enabled)
-        for rate in spec.loads_rps
-    ]
-
-
-def _curve_dict(points: Sequence[ServePoint]) -> Dict[str, object]:
-    return {
-        "points": [pt.as_dict() for pt in points],
-        "knee_rps": knee_rps(points),
-    }
 
 
 def _read_p99(pt: ServePoint) -> float:
@@ -208,40 +188,42 @@ def _read_p99(pt: ServePoint) -> float:
     return cls.p99_ns if cls is not None else pt.report.p99_ns
 
 
-def write_path_comparison(spec: WritePathSpec) -> Dict[str, object]:
-    """GC-on vs GC-off across the load axis, plus the summary scalars the
-    store gate watches (``mean_waf``, ``gc_stall_ns``, read-p99
-    inflation).  The schema literal matches
-    ``repro.store.meta.WRITE_PATH_SCHEMA``; importing it here would cycle
-    (``repro.store.explore`` drives serve modules)."""
-    gc_on = run_write_path_sweep(spec, gc_enabled=True)
-    gc_off = run_write_path_sweep(spec, gc_enabled=False)
+def write_path_cells(spec: WritePathSpec) -> List[Cell]:
+    """GC-on vs GC-off across the load axis (the toggle is the ``system``
+    axis: ``gc_on``/``gc_off``), plus a ``section=summary`` cell with the
+    scalars the store gate watches (``mean_waf``, ``gc_stall_ns``, read-p99
+    inflation)."""
+    gc_on = [run_write_path_point(r, spec, True) for r in spec.loads_rps]
+    gc_off = [run_write_path_point(r, spec, False) for r in spec.loads_rps]
     waf_points = [pt.report.mean_waf for pt in gc_on]
     stall_points = [pt.report.gc_stall_ns for pt in gc_on]
     inflation = [
         (_read_p99(on) / _read_p99(off)) if _read_p99(off) > 0 else 1.0
         for on, off in zip(gc_on, gc_off)
     ]
-    lost = sum(pt.report.writebacks_lost for pt in gc_on)
-    return {
-        "schema": "agile-write-path/1",
-        "seed": spec.seed,
-        "num_ssds": spec.num_ssds,
-        "loads_rps": list(spec.loads_rps),
-        "config_hash": stable_hash(
-            {"family": "agile-write-path", "spec": spec}
-        ),
-        "gc_on": _curve_dict(gc_on),
-        "gc_off": _curve_dict(gc_off),
-        "summary": {
-            "mean_waf": max(waf_points) if waf_points else 1.0,
-            "gc_stall_ns": max(stall_points) if stall_points else 0.0,
-            "read_p99_inflation": max(inflation) if inflation else 1.0,
-            "knee_rps_gc_on": knee_rps(gc_on),
-            "knee_rps_gc_off": knee_rps(gc_off),
-            "writebacks_lost": lost,
-        },
+    summary = {
+        "mean_waf": max(waf_points) if waf_points else 1.0,
+        "gc_stall_ns": max(stall_points) if stall_points else 0.0,
+        "read_p99_inflation": max(inflation) if inflation else 1.0,
+        "knee_rps_gc_on": knee_rps(gc_on),
+        "knee_rps_gc_off": knee_rps(gc_off),
+        "writebacks_lost": sum(pt.report.writebacks_lost for pt in gc_on),
     }
+    return [
+        *curve_cells({"system": "gc_on"}, gc_on),
+        *curve_cells({"system": "gc_off"}, gc_off),
+        cell({"section": "summary"}, summary),
+    ]
+
+
+def no_lost_writebacks(cells: Sequence[Cell]) -> List[str]:
+    """Without a fault plan, every eviction write-back must be acked."""
+    return [
+        f"{c['axes']['system']} at {c['axes']['target_rps']:g} rps: "
+        f"{lost} eviction write-back(s) lost without a fault plan"
+        for c in cells
+        if (lost := c["metrics"].get("write_path", {}).get("writebacks_lost"))
+    ]
 
 
 def quick_spec(
@@ -252,3 +234,16 @@ def quick_spec(
         loads_rps=tuple(loads) if loads else (10_000.0, 30_000.0, 60_000.0),
         seed=seed,
     )
+
+
+WRITE_PATH = Scenario(
+    name="write-path",
+    family="agile-write-path",
+    quick=lambda seed: quick_spec(seed=seed),
+    default=lambda seed: quick_spec(seed=seed),
+    cells=write_path_cells,
+    config_hash=lambda spec: stable_hash(
+        {"family": "agile-write-path", "spec": spec}
+    ),
+    check=no_lost_writebacks,
+)

@@ -6,8 +6,8 @@ Subcommands::
     ls [--schema S]                 # stored runs, oldest first
     show RUN [--limit N]            # one run's header + points
     diff RUN_A RUN_B [--tolerance]  # per-metric deltas; exit 1 on regression
+                                    # or on a metric of A missing from B
     gate FILES... --baseline DB     # fresh artifacts vs best stored baseline
-    explore [axes...]               # parameter grid -> store (+ optional JSON)
 
 Run ids are content hashes; any unique prefix works wherever a RUN is
 expected.  ``--db`` names the store (default ``store.db``); ``gate``
@@ -18,7 +18,9 @@ Examples::
     python -m repro.store --db store.db ingest BENCH_*.json serve_smoke.json
     python -m repro.store --db store.db diff 3f2a 9c41 --tolerance 0.05
     python -m repro.store gate serve_smoke.json --baseline baselines/store-baseline.db
-    python -m repro.store --db store.db explore --ssds 1,2,4 --arrivals poisson,mmpp
+
+Artifacts come from ``python -m repro.serve run <scenario> --out F`` and
+``python -m repro.bench export``.
 """
 
 from __future__ import annotations
@@ -27,19 +29,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.store.db import ResultStore
+from repro.store.db import Point, ResultStore, RunRecord
 from repro.store.diff import DiffResult, best_baseline, diff_runs
-from repro.store.explore import ARRIVALS, ExploreSpec, run_explore
 from repro.store.ingest import UnknownSchemaError, ingest_document
-from repro.store.meta import EXPLORE_SCHEMA, now_unix, stamp
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="SQLite experiment store: ingest, diff, gate, explore.",
+        description="SQLite experiment store: ingest, diff, gate.",
     )
     parser.add_argument(
         "--db", default="store.db", help="store path (default: store.db)"
@@ -85,32 +85,19 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     )
     gate.add_argument("--tolerance", type=float, default=0.1)
 
-    explore = sub.add_parser(
-        "explore", help="run a parameter grid and store the results"
-    )
-    explore.add_argument("--cache-lines", default="256,1024")
-    explore.add_argument("--queue-depths", default="32,64")
-    explore.add_argument("--ssds", default="1,2")
-    explore.add_argument(
-        "--arrivals", default="poisson",
-        help="comma list of: " + ", ".join(ARRIVALS),
-    )
-    explore.add_argument("--rate", type=float, default=40_000.0)
-    explore.add_argument("--duration-ms", type=float, default=1.0)
-    explore.add_argument("--seed", type=int, default=7)
-    explore.add_argument("--system", default="agile")
-    explore.add_argument("--out", default="", help="also write grid JSON here")
     return parser.parse_args(argv)
+
+
+def _read_artifact(path: str) -> Tuple[Path, RunRecord, List[Point]]:
+    p = Path(path)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    created = doc.get("generated_unix") or p.stat().st_mtime
+    return (p, *ingest_document(doc, source=p.name, created_at=float(created)))
 
 
 def _ingest_file(store: ResultStore, path: str) -> str:
     """Ingest one artifact file; returns the run id."""
-    p = Path(path)
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    created = doc.get("generated_unix") or p.stat().st_mtime
-    record, points = ingest_document(
-        doc, source=p.name, created_at=float(created)
-    )
+    p, record, points = _read_artifact(path)
     store.put_run(record, points)
     print(
         f"ingested {p.name}: run {record.run_id[:12]} "
@@ -193,6 +180,10 @@ def _print_diff(result: DiffResult, show_all: bool) -> None:
                 or delta.improved(result.tolerance)
             ):
                 print(f"             {delta.describe()}")
+    # A baseline metric the candidate no longer reports fails the diff:
+    # list every one, since nothing else would show it.
+    for axes, metric in result.only_a:
+        print(f"  MISSING    {metric} @ {axes}")
     if result.only_a:
         print(f"  only in A: {len(result.only_a)} metrics")
     if result.only_b:
@@ -208,7 +199,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if not result.ok:
         print(
             f"diff: FAIL - {len(result.regressions)} metric(s) regressed "
-            f"beyond {args.tolerance:.1%}",
+            f"beyond {args.tolerance:.1%}, {len(result.only_a)} missing",
             file=sys.stderr,
         )
         return 1
@@ -219,12 +210,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     failures = 0
     with ResultStore(args.baseline) as store:
         for path in args.files:
-            p = Path(path)
-            doc = json.loads(p.read_text(encoding="utf-8"))
-            created = doc.get("generated_unix") or p.stat().st_mtime
-            record, points = ingest_document(
-                doc, source=p.name, created_at=float(created)
-            )
+            p, record, points = _read_artifact(path)
             baseline = best_baseline(store, record.schema, record.config_hash)
             # The fresh run joins the store either way: history should
             # show regressions, and a better run becomes the new bar.
@@ -250,64 +236,12 @@ def _cmd_gate(args: argparse.Namespace) -> int:
                 failures += 1
                 print(
                     f"gate: {p.name}: FAIL - "
-                    f"{len(result.regressions)} regression(s) vs "
+                    f"{len(result.regressions)} regression(s), "
+                    f"{len(result.only_a)} missing metric(s) vs "
                     f"baseline {baseline.run_id[:12]}",
                     file=sys.stderr,
                 )
     return 1 if failures else 0
-
-
-def _ints(csv: str) -> tuple:
-    return tuple(int(tok) for tok in csv.split(",") if tok)
-
-
-def _cmd_explore(args: argparse.Namespace) -> int:
-    spec = ExploreSpec(
-        cache_lines=_ints(args.cache_lines),
-        queue_depths=_ints(args.queue_depths),
-        ssd_counts=_ints(args.ssds),
-        arrivals=tuple(tok for tok in args.arrivals.split(",") if tok),
-        rate_rps=args.rate,
-        duration_ns=args.duration_ms * 1e6,
-        seed=args.seed,
-        system=args.system,
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        print(f"explore: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"explore: {len(spec.cells)} cells "
-        f"(cache {args.cache_lines} x depth {args.queue_depths} "
-        f"x ssds {args.ssds} x arrivals {args.arrivals}) "
-        f"at {spec.rate_rps:g} rps, seed {spec.seed}"
-    )
-    doc = run_explore(spec)
-    stamp(doc, EXPLORE_SCHEMA)
-    doc["generated_unix"] = now_unix()
-    for cell in doc["cells"]:
-        axes, metrics = cell["axes"], cell["metrics"]
-        print(
-            "  "
-            + " ".join(f"{k}={v}" for k, v in axes.items())
-            + f" | goodput {metrics['goodput_rps']:>9,.0f} rps"
-            f" | p99 {metrics['p99_ns'] / 1e6:7.3f} ms"
-            f" | shed {metrics['shed']}"
-        )
-    record, points = ingest_document(doc, source="explore")
-    with ResultStore(args.db) as store:
-        store.put_run(record, points)
-    print(
-        f"explore: stored run {record.run_id[:12]} "
-        f"({len(points)} points) in {args.db}"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"explore: wrote {args.out}")
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -318,7 +252,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "show": _cmd_show,
         "diff": _cmd_diff,
         "gate": _cmd_gate,
-        "explore": _cmd_explore,
     }
     return handlers[args.command](args)
 

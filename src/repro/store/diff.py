@@ -6,7 +6,9 @@ knee), worse (latency quantiles, skew, sheds, device errors), or neither
 (counters and wall-clock measurements that describe the run without
 judging it).  A **regression** is a directional metric moving the wrong
 way by more than the tolerance; ``diff`` and ``gate`` exit non-zero when
-any survive.
+any survive, or when a metric of the baseline (run A) is missing from
+the candidate (run B) — a vanished metric is never a pass.  Metrics only
+the candidate has are informational.
 
 Wall-clock-derived metrics (``events_per_sec``, ``sim_ns_per_sec``,
 ``wall_s``) are deliberately *informational*: they vary with the host
@@ -128,7 +130,7 @@ class DiffResult:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.only_a
 
 
 def diff_metrics(

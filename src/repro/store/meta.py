@@ -1,12 +1,13 @@
 """Uniform artifact metadata: schema tags and commit stamping.
 
-Every JSON artifact the repo emits (bench trend, serve sweep, placement
-smoke, explore grids) passes through :func:`stamp` so the three fields
-the experiment store keys on are always present and always spelled the
-same way:
+Every JSON artifact the repo emits (the serve scenarios and the bench
+export) has the one cell-grid shape ``{schema, config_hash, ..., cells:
+[{axes, metrics}]}`` and passes through :func:`stamp`, so the fields the
+experiment store keys on are always present and always spelled the same
+way:
 
 - ``schema``   — the artifact family and version, e.g.
-  ``agile-bench-trend/2``;
+  ``agile-bench-trend/3``;
 - ``git_sha``  — the commit that produced the run (CI's ``GITHUB_SHA``
   when set, else ``git rev-parse HEAD``, else ``""`` outside a repo);
 - ``config_hash`` — the :func:`~repro.config.stable_hash` fingerprint of
@@ -17,30 +18,32 @@ from __future__ import annotations
 
 import os
 import subprocess
-import time
 from typing import Dict, MutableMapping, Optional
 
-#: Current schema tags, one per artifact family.  ``agile-bench-trend``
-#: is at /2 (adds git_sha + config_hash) and ``agile-serve-sweep`` at /3
-#: (adds the per-point ``write_path`` section: WAF, GC busy/stall time,
-#: eviction write-back ledger); the ingest adapters keep compat readers
-#: for the older versions.
-BENCH_TREND_SCHEMA = "agile-bench-trend/2"
-SERVE_SWEEP_SCHEMA = "agile-serve-sweep/3"
-PLACEMENT_SMOKE_SCHEMA = "agile-placement-smoke/1"
-EXPLORE_SCHEMA = "agile-explore/1"
-WRITE_PATH_SCHEMA = "agile-write-path/1"
-TENANCY_SCHEMA = "agile-tenancy/1"
+#: Current schema tags, one per artifact family — the only place these
+#: literals live.  Every family moved to the cell-grid shape in one
+#: version bump; ingest reads only these versions.  Baselines match on
+#: the version-less family, so runs stored under an older version keep
+#: gating candidates with the same config hash.
+BENCH_TREND_SCHEMA = "agile-bench-trend/3"
+SERVE_SWEEP_SCHEMA = "agile-serve-sweep/4"
+PLACEMENT_SMOKE_SCHEMA = "agile-placement-smoke/2"
+EXPLORE_SCHEMA = "agile-explore/2"
+WRITE_PATH_SCHEMA = "agile-write-path/2"
+TENANCY_SCHEMA = "agile-tenancy/2"
 
-
-def now_unix() -> float:
-    """Wall-clock provenance timestamp (``generated_unix``).
-
-    This is the one sanctioned wall-clock read outside ``bench/`` (the
-    lint exempts exactly this file): provenance stamps describe when an
-    artifact was produced and must never feed back into simulated time.
-    """
-    return time.time()
+#: Family (version-less) -> current schema tag.
+SCHEMAS: Dict[str, str] = {
+    tag.rsplit("/", 1)[0]: tag
+    for tag in (
+        BENCH_TREND_SCHEMA,
+        SERVE_SWEEP_SCHEMA,
+        PLACEMENT_SMOKE_SCHEMA,
+        EXPLORE_SCHEMA,
+        WRITE_PATH_SCHEMA,
+        TENANCY_SCHEMA,
+    )
+}
 
 
 def git_sha() -> str:

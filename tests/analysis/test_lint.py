@@ -49,6 +49,12 @@ class TestRandomness:
         )
         assert codes(v) == ["AGL002"]
 
+    def test_global_seed_call_fires(self, tmp_path):
+        # Seeding numpy's global generator makes every later global draw
+        # depend on call order across modules: still AGL002.
+        v = run_lint(tmp_path, "import numpy as np\nnp.random.seed(0)\n")
+        assert codes(v) == ["AGL002"]
+
     def test_unseeded_default_rng_fires(self, tmp_path):
         v = run_lint(
             tmp_path, "import numpy as np\nrng = np.random.default_rng()\n"

@@ -1,21 +1,26 @@
 """Placement-aware serve sweep: determinism, the report's placement
 section, the striped-vs-shard hotspot separation, grid plumbing, and the
-CLI surfaces (``sweep --ssds/--placement`` and ``placement-smoke``)."""
+CLI surfaces (``run sweep --set ssds=/placements=`` and ``run
+placement``)."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
 
+import pytest
+
 from repro.serve.__main__ import main
+from repro.serve.scenario import run_scenario
 from repro.serve.sweep import (
+    PLACEMENT,
     PLACEMENTS,
+    SWEEP,
+    PlacementSpec,
+    SweepGrid,
     SweepSpec,
-    grid_as_dict,
-    grid_label,
-    placement_comparison,
-    run_placement_grid,
     run_serve_point,
+    striping_beats_sharding,
 )
 
 #: Small enough to keep every test under a few seconds, hot enough that
@@ -39,7 +44,7 @@ class TestDeterminism:
     def test_same_spec_same_point_bit_for_bit(self):
         a = run_serve_point("agile", 100_000.0, QUIET)
         b = run_serve_point("agile", 100_000.0, QUIET)
-        assert a.as_dict() == b.as_dict()
+        assert a == b
 
     def test_skew_zero_leaves_placement_out_of_the_rng(self):
         """With skew=0 the hotspot draw never happens, so two policies see
@@ -58,7 +63,7 @@ class TestDeterminism:
 class TestPlacementSection:
     def test_report_carries_placement_block(self):
         pt = run_serve_point("agile", 100_000.0, QUIET)
-        block = pt.as_dict()["placement"]
+        block = pt.report.as_dict()["placement"]
         assert block["policy"] == "striped"
         assert block["num_ssds"] == 2
         assert len(block["device_pages"]) == 2
@@ -73,79 +78,122 @@ class TestPlacementSection:
             lba_space=256,
         )
         pt = run_serve_point("agile", 100_000.0, spec)
-        block = pt.as_dict()["placement"]
+        block = pt.report.as_dict()["placement"]
         assert block["policy"] == "identity"
         assert block["skew_ratio"] == 1.0
 
 
 class TestHotspotSeparation:
     def test_striping_spreads_the_hotspot_sharding_funnels_it(self):
-        doc = placement_comparison(
-            SKEWED, 400_000.0, placements=("shard", "striped")
+        doc = run_scenario(
+            PLACEMENT,
+            PlacementSpec(rate_rps=400_000.0, duration_ns=2_000_000.0),
         )
-        shard = doc["policies"]["shard"]
-        striped = doc["policies"]["striped"]
+        by_policy = {c["axes"]["policy"]: c["metrics"] for c in doc["cells"]}
+        shard, striped = by_policy["shard"], by_policy["striped"]
         assert striped["skew_ratio"] < shard["skew_ratio"]
         # The shard layout leaves whole devices nearly idle under the
         # hotspot; striping keeps every lane busy.
         assert min(striped["device_reads"]) > min(shard["device_reads"])
-        assert doc["skew"] == 0.8 and doc["num_ssds"] == 4
+        assert doc["spec"]["skew"] == 0.8 and doc["spec"]["num_ssds"] == 4
+        assert PLACEMENT.failures(doc) == []
+
+    def test_check_fails_when_striping_does_not_win(self):
+        cells = [
+            {"axes": {"policy": "shard"}, "metrics": {"skew_ratio": 1.2}},
+            {"axes": {"policy": "striped"}, "metrics": {"skew_ratio": 1.2}},
+        ]
+        (msg,) = striping_beats_sharding(cells)
+        assert "did not reduce per-device skew" in msg
 
 
 class TestGrid:
     def test_grid_labels_and_shape(self):
-        assert grid_label(4, "striped") == "ssds=4,placement=striped"
-        grid = run_placement_grid(
-            QUIET, ssd_counts=(1, 2), placements=("striped",)
+        grid = SweepGrid(
+            loads_rps=(100_000.0,), systems=("agile",), ssds=(1, 2),
+            duration_ns=1_000_000.0,
         )
-        assert set(grid) == {
-            "ssds=1,placement=striped",
-            "ssds=2,placement=striped",
-        }
-        doc = grid_as_dict(grid)
-        for label, curves in doc.items():
-            assert set(curves) == {"agile"}
-            point = curves["agile"]["points"][0]
-            assert point["placement"]["num_ssds"] == int(
-                label.split(",")[0].split("=")[1]
-            )
+        cells = SWEEP.cells(grid)
+        points = [c for c in cells if "target_rps" in c["axes"]]
+        assert [c["axes"] for c in points] == [
+            {"ssds": n, "placement": "striped", "system": "agile",
+             "target_rps": 100_000.0}
+            for n in (1, 2)
+        ]
+        for c in points:
+            assert c["metrics"]["placement"]["num_ssds"] == c["axes"]["ssds"]
+        knees = [c for c in cells if "knee_rps" in c["metrics"]]
+        assert len(knees) == 2
 
 
 class TestCli:
-    def test_sweep_writes_schema_3_json(self, tmp_path, capsys):
+    def test_sweep_writes_cells_json(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         rc = main([
-            "sweep", "--loads", "50000", "--duration-ms", "1",
-            "--ssds", "1,2", "--placement", "striped",
-            "--systems", "agile", "--out", str(out),
+            "run", "sweep", "--set", "loads_rps=50000",
+            "--set", "duration_ns=1e6", "--set", "ssds=1,2",
+            "--set", "placements=striped", "--set", "systems=agile",
+            "--out", str(out),
         ])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "agile-serve-sweep/3"
-        assert doc["ssd_counts"] == [1, 2]
-        assert doc["placements"] == ["striped"]
-        assert set(doc["grid"]) == {
-            "ssds=1,placement=striped",
-            "ssds=2,placement=striped",
-        }
-        assert "knee" in capsys.readouterr().out
+        assert doc["schema"] == "agile-serve-sweep/4"
+        assert doc["spec"]["ssds"] == [1, 2]
+        assert doc["spec"]["placements"] == ["striped"]
+        assert {
+            (c["axes"]["ssds"], c["axes"]["placement"]) for c in doc["cells"]
+        } == {(1, "striped"), (2, "striped")}
+        assert "knee_rps=" in capsys.readouterr().out
 
     def test_sweep_rejects_unknown_placement(self, capsys):
-        assert main(["sweep", "--placement", "raid6"]) == 2
+        assert main(["run", "sweep", "--set", "placements=raid6"]) == 2
         assert "unknown placement" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("mystery=1", "unknown field 'mystery'"),
+            ("ssds=two", "ssds: bad value 'two'"),
+            ("seed=", "seed: bad value ''"),
+            ("loads_rps=", "loads_rps: needs at least one value"),
+            ("systems=agile,quantum", "unknown system 'quantum'"),
+        ],
+    )
+    def test_bad_overrides_exit_2(self, capsys, assignment, message):
+        assert main(["run", "sweep", "--set", assignment]) == 2
+        assert message in capsys.readouterr().err
 
     def test_placement_smoke_passes_and_writes_doc(self, tmp_path, capsys):
         out = tmp_path / "smoke.json"
         rc = main([
-            "placement-smoke", "--duration-ms", "2",
-            "--rate", "400000", "--out", str(out),
+            "run", "placement", "--set", "duration_ns=2000000",
+            "--set", "rate_rps=400000", "--out", str(out),
         ])
         captured = capsys.readouterr()
         assert rc == 0, captured.err
-        assert "OK: striped skew" in captured.out
+        assert "OK: placement" in captured.out
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "agile-placement-smoke/1"
-        assert set(doc["policies"]) == {"shard", "striped"}
+        assert doc["schema"] == "agile-placement-smoke/2"
+        assert [c["axes"]["policy"] for c in doc["cells"]] == [
+            "shard", "striped"
+        ]
+
+    def test_placement_check_failure_exits_1(self, monkeypatch, capsys):
+        # A machine on which striping loses: the headline check bites.
+        from repro.serve import sweep
+
+        def losing(spec):
+            return [
+                {"axes": {"policy": p}, "metrics": {"skew_ratio": 1.5}}
+                for p in spec.placements
+            ]
+
+        monkeypatch.setattr(
+            "repro.serve.__main__.SCENARIOS",
+            {"placement": replace(sweep.PLACEMENT, cells=losing)},
+        )
+        assert main(["run", "placement"]) == 1
+        assert "FAIL: striped placement" in capsys.readouterr().err
 
     def test_placements_constant_covers_all_policies(self):
         assert set(PLACEMENTS) == {

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.serve.backends import build_backend
 from repro.serve.slo import ClassReport, ServeReport
 from repro.serve.sweep import (
     ServePoint,
     SweepSpec,
-    build_backend,
-    curves_as_dict,
     knee_rps,
-    run_saturation_sweep,
     run_serve_point,
+    saturation_cells,
 )
 
 # One modest load on a small window: enough traffic to batch and complete,
@@ -65,7 +64,7 @@ class TestSweepPoints:
     def test_point_is_bit_deterministic(self):
         a = run_serve_point("agile", 20_000.0, SPEC)
         b = run_serve_point("agile", 20_000.0, SPEC)
-        assert a.as_dict() == b.as_dict()
+        assert a == b
 
     def test_agile_goodput_at_least_bam(self):
         agile = run_serve_point("agile", 20_000.0, SPEC)
@@ -83,13 +82,15 @@ class TestSweepPoints:
         assert offered["agile"] == offered["bam"]
 
     def test_curves_as_dict_shape(self):
-        curves = run_saturation_sweep(SPEC, systems=("agile",))
-        doc = curves_as_dict(curves)
-        assert set(doc) == {"agile"}
-        assert "knee_rps" in doc["agile"]
-        (point,) = doc["agile"]["points"]
-        assert point["system"] == "agile"
-        assert point["target_rps"] == 20_000.0
+        point, knee = saturation_cells(SPEC, systems=("agile",))
+        assert point["axes"] == {"system": "agile", "target_rps": 20_000.0}
+        assert isinstance(point["axes"]["target_rps"], float)
+        metrics = point["metrics"]
         assert {"goodput_rps", "p99_ns", "completed", "shed", "aborted",
-                "classes"} <= set(point)
-        assert set(point["classes"]) == {"point", "scan"}
+                "classes"} <= set(metrics)
+        assert set(metrics["classes"]) == {"point", "scan"}
+        # The knee is a derived cell on the curve's own (fewer) axes.
+        assert knee == {
+            "axes": {"system": "agile"},
+            "metrics": {"knee_rps": knee["metrics"]["knee_rps"]},
+        }

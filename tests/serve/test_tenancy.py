@@ -1,5 +1,5 @@
 """The tenancy scenario matrix: registry discipline, bit-determinism,
-headline logic, and store ingest."""
+headline logic, the CLI's headline exit code, and store ingest."""
 
 from __future__ import annotations
 
@@ -16,15 +16,17 @@ from repro.serve.registry import (
     VSEARCH,
     tenant_class,
 )
+from repro.serve.scenario import run_scenario
 from repro.serve.tenancy import (
+    TENANCY,
     TenancySpec,
     _headline_ok,
-    cell_label,
+    headline_failures,
     run_tenancy_cell,
-    tenancy_matrix,
     tenancy_shares,
 )
 from repro.store.ingest import ingest_document
+from repro.store.meta import TENANCY_SCHEMA, stamp
 from repro.workloads.checkpoint import CheckpointSpec
 from repro.workloads.kvcache import KvCacheSpec
 from repro.workloads.vsearch import VsearchSpec
@@ -43,7 +45,7 @@ def mini_spec(**overrides) -> TenancySpec:
         vsearch=VsearchSpec(num_nodes=64, num_queries=8),
         train_space=256,
         mixes=("inference_heavy",),
-        storms=("none",),
+        storms=("storm",),
         placements=("striped",),
     )
     defaults.update(overrides)
@@ -75,6 +77,12 @@ class TestRegistry:
         assert names <= set(KNOWN_TENANTS)
 
 
+def by_arm(cells):
+    return {
+        c["axes"].get("arm", c["axes"].get("section")): c for c in cells
+    }
+
+
 class TestCellDeterminism:
     def test_same_spec_same_cell_bit_for_bit(self):
         spec = mini_spec()
@@ -86,42 +94,60 @@ class TestCellDeterminism:
         # wfq and fifo are different schedulers on the same arrivals: the
         # cell must not accidentally run the same arm twice.
         spec = mini_spec(admission_capacity=8)
-        cell = run_tenancy_cell(spec, "inference_heavy", "none", "striped")
-        assert cell["wfq"] != cell["fifo"]
+        cells = by_arm(
+            run_tenancy_cell(spec, "inference_heavy", "none", "striped")
+        )
+        assert cells["wfq"]["metrics"] != cells["fifo"]["metrics"]
+        assert cells["headline"]["axes"] == {
+            "mix": "inference_heavy", "storm": "none",
+            "placement": "striped", "section": "headline",
+        }
 
     def test_every_tenant_is_offered_traffic(self):
         spec = mini_spec()
-        cell = run_tenancy_cell(spec, "inference_heavy", "none", "striped")
+        wfq = by_arm(
+            run_tenancy_cell(spec, "inference_heavy", "none", "striped")
+        )["wfq"]["metrics"]
         for name in (INFER, KV_APPEND, TRAIN, CKPT, VSEARCH):
-            assert cell["wfq"]["classes"][name]["offered"] > 0
+            assert wfq["classes"][name]["offered"] > 0
 
 
 class TestMatrix:
     def test_matrix_document_shape_and_ingest(self):
-        doc = tenancy_matrix(mini_spec(storms=("none", "storm")))
-        assert doc["schema"] == "agile-tenancy/1"
+        doc = run_scenario(TENANCY, mini_spec(storms=("none", "storm")))
+        stamp(doc, TENANCY_SCHEMA)
+        assert doc["schema"] == "agile-tenancy/2"
         assert doc["config_hash"]
-        label = cell_label("inference_heavy", "none", "striped")
-        assert label in doc["cells"]
-        assert "headline_ok" in doc["summary"]
+        assert set(doc["shares"]) == {INFER, KV_APPEND, TRAIN, CKPT, VSEARCH}
+        axes = [c["axes"] for c in doc["cells"]]
+        assert {
+            "mix": "inference_heavy", "storm": "none",
+            "placement": "striped", "arm": "wfq",
+        } in axes
+        (summary,) = [
+            c for c in doc["cells"] if c["axes"] == {"section": "summary"}
+        ]
+        assert "headline_ok" in summary["metrics"]
         record, points = ingest_document(doc, source="test")
-        assert record.schema == "agile-tenancy/1"
+        assert record.schema == "agile-tenancy/2"
         axes_seen = {p.axes.get("storm") for p in points}
         assert {"none", "storm"} <= axes_seen
         assert any(p.axes.get("section") == "summary" for p in points)
 
+    def test_matrix_without_a_storm_cell_is_rejected(self, capsys):
+        from repro.serve.__main__ import main
+
+        with pytest.raises(ValueError, match="at least one storm cell"):
+            mini_spec(storms=("none",))
+        assert main(["run", "tenancy", "--set", "storms=none"]) == 2
+        assert "at least one storm cell" in capsys.readouterr().err
+
     def test_config_hash_tracks_the_spec(self):
-        a = tenancy_matrix(
-            mini_spec(storms=("storm",), duration_ns=800_000.0)
+        a = mini_spec(storms=("storm",), duration_ns=800_000.0)
+        b = mini_spec(
+            storms=("storm",), duration_ns=800_000.0, rate_rps=140_000.0
         )
-        b = tenancy_matrix(
-            mini_spec(
-                storms=("storm",),
-                duration_ns=800_000.0,
-                rate_rps=140_000.0,
-            )
-        )
-        assert a["config_hash"] != b["config_hash"]
+        assert TENANCY.config_hash(a) != TENANCY.config_hash(b)
 
 
 class TestHeadline:
@@ -150,3 +176,38 @@ class TestHeadline:
         assert not _headline_ok(
             {**self.BASE, "wfq_infer_shed_frac": 0.5}
         )
+
+
+class TestHeadlineCheck:
+    """``run tenancy`` exits 1 when any cell fails its headline."""
+
+    def headline_cell(self, **overrides):
+        return {
+            "axes": {
+                "mix": "inference_heavy", "storm": "storm",
+                "placement": "striped", "section": "headline",
+            },
+            "metrics": {**TestHeadline.BASE, **overrides},
+        }
+
+    def test_failing_cell_is_named(self):
+        cells = [self.headline_cell(), self.headline_cell(
+            wfq_infer_p99_ns=4e6
+        )]
+        (msg,) = headline_failures(cells)
+        assert "mix=inference_heavy,storm=storm,placement=striped" in msg
+
+    def test_wfq_over_budget_exits_1(self, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from repro.serve.__main__ import main
+
+        over = replace(
+            TENANCY,
+            cells=lambda spec: [self.headline_cell(wfq_infer_p99_ns=4e6)],
+        )
+        monkeypatch.setattr(
+            "repro.serve.__main__.SCENARIOS", {"tenancy": over}
+        )
+        assert main(["run", "tenancy", "--quick"]) == 1
+        assert "lost the interference headline" in capsys.readouterr().err

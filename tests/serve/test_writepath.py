@@ -8,12 +8,14 @@ from repro.serve.arrival import Poisson
 from repro.serve.backends import BamServeBackend
 from repro.serve.engine import ServeEngine
 from repro.serve.request import RequestClass
+from repro.serve.scenario import run_scenario
 from repro.serve.writepath import (
+    WRITE_PATH,
     WritePathSpec,
+    no_lost_writebacks,
     quick_spec,
     run_write_path_point,
     write_path_classes,
-    write_path_comparison,
 )
 
 from tests.helpers import small_config
@@ -100,21 +102,53 @@ class TestWritePathPoint:
     def test_point_is_deterministic(self):
         a = run_write_path_point(TINY.loads_rps[0], TINY)
         b = run_write_path_point(TINY.loads_rps[0], TINY)
-        assert a.as_dict() == b.as_dict()
+        assert a == b
 
 
 class TestComparison:
     def test_comparison_document_shape(self):
-        doc = write_path_comparison(TINY)
-        assert doc["schema"] == "agile-write-path/1"
+        doc = run_scenario(WRITE_PATH, TINY)
         assert isinstance(doc["config_hash"], str) and doc["config_hash"]
+        cells = doc["cells"]
         for curve in ("gc_on", "gc_off"):
-            points = doc[curve]["points"]
+            points = [
+                c for c in cells
+                if c["axes"].get("system") == curve
+                and "target_rps" in c["axes"]
+            ]
             assert len(points) == len(TINY.loads_rps)
-        assert {p["system"] for p in doc["gc_off"]["points"]} == {
-            "agile-gc-off"
-        }
-        summary = doc["summary"]
+            knees = [
+                c for c in cells if c["axes"] == {"system": curve}
+            ]
+            assert "knee_rps" in knees[0]["metrics"]
+        (summary,) = [
+            c["metrics"] for c in cells if c["axes"] == {"section": "summary"}
+        ]
         assert summary["writebacks_lost"] == 0
         assert summary["mean_waf"] >= 1.0
         assert summary["read_p99_inflation"] > 0.0
+        assert WRITE_PATH.failures(doc) == []
+
+
+class TestLostWritebackCheck:
+    def lossy(self, lost):
+        return {
+            "axes": {"system": "gc_on", "target_rps": 30_000.0},
+            "metrics": {"write_path": {"writebacks_lost": lost}},
+        }
+
+    def test_a_lost_writeback_fails(self):
+        (msg,) = no_lost_writebacks([self.lossy(0), self.lossy(2)])
+        assert "gc_on at 30000 rps: 2 eviction write-back(s) lost" in msg
+
+    def test_lost_writeback_exits_1(self, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from repro.serve.__main__ import main
+
+        lossy = replace(WRITE_PATH, cells=lambda spec: [self.lossy(1)])
+        monkeypatch.setattr(
+            "repro.serve.__main__.SCENARIOS", {"write-path": lossy}
+        )
+        assert main(["run", "write-path"]) == 1
+        assert "lost without a fault plan" in capsys.readouterr().err

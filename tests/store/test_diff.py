@@ -1,5 +1,6 @@
 """Diff and gate: the regression semantics the CI job relies on."""
 
+import copy
 import json
 
 import pytest
@@ -185,6 +186,44 @@ class TestGate:
         assert rc == 1
         assert "goodput_rps" in captured.out
 
+    def test_vanished_metric_fails_the_gate(self, tmp_path, capsys):
+        baseline = tmp_path / "base.db"
+        good = serve_sweep_doc()
+        assert main([
+            "gate", _write(tmp_path / "good.json", good),
+            "--baseline", str(baseline),
+        ]) == 0
+        capsys.readouterr()
+        # The candidate stops reporting one baseline metric: a fail that
+        # names the missing (axes, metric) pair.
+        thin = copy.deepcopy(good)
+        del thin["cells"][0]["metrics"]["classes"]["point"]["p99_ns"]
+        rc = main([
+            "gate", _write(tmp_path / "thin.json", thin),
+            "--baseline", str(baseline),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "MISSING    classes.point.p99_ns @ " in captured.out
+        assert '"target_rps":20000.0' in captured.out
+        assert "1 missing" in captured.err
+
+    def test_extra_metric_is_informational(self, tmp_path, capsys):
+        baseline = tmp_path / "base.db"
+        good = serve_sweep_doc()
+        main([
+            "gate", _write(tmp_path / "good.json", good),
+            "--baseline", str(baseline),
+        ])
+        wider = copy.deepcopy(good)
+        wider["cells"][1]["metrics"]["extra_rps"] = 1.0
+        rc = main([
+            "gate", _write(tmp_path / "wide.json", wider),
+            "--baseline", str(baseline),
+        ])
+        assert rc == 0
+        assert "only in B: 1 metrics" in capsys.readouterr().out
+
     def test_gate_compares_against_best_stored_run(self, tmp_path):
         baseline = tmp_path / "base.db"
         ok = serve_sweep_doc()
@@ -198,7 +237,7 @@ class TestGate:
         with ResultStore(baseline) as store:
             rec_better, _ = ingest_document(better)
             best = best_baseline(
-                store, "agile-serve-sweep/2", rec_better.config_hash
+                store, rec_better.schema, rec_better.config_hash
             )
             assert best is not None
             assert best.run_id == rec_better.run_id
@@ -214,8 +253,10 @@ class TestGate:
         serve_metrics = {p.key: p.value for p in serve_pts}
         assert run_score(serve_metrics) > 0
         bench = bench_trend_doc()
-        del bench["serve_saturation"]
-        del bench["placement"]
+        bench["cells"] = [
+            c for c in bench["cells"]
+            if c["axes"]["section"] in ("fig5", "perf")
+        ]
         _, bench_pts = ingest_document(bench)
         bench_metrics = {p.key: p.value for p in bench_pts}
         assert run_score(bench_metrics) == pytest.approx(3.64 + 6.9 + 2.39)
@@ -229,7 +270,7 @@ class TestCliSmoke:
         ])
         assert main(["--db", str(store_path), "ls"]) == 0
         out = capsys.readouterr().out
-        assert "agile-serve-sweep/2" in out
+        assert "agile-serve-sweep/4" in out
         with ResultStore(store_path) as store:
             run_id = store.runs()[0].run_id
         assert main(["--db", str(store_path), "show", run_id[:10]]) == 0

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.store import ExploreSpec, ResultStore, ingest_document, run_explore
-from repro.store.__main__ import main
+from repro.serve.__main__ import main
+from repro.serve.explore import EXPLORE, ExploreSpec
+from repro.serve.scenario import run_scenario
+from repro.store import ResultStore, ingest_document
+from repro.store.__main__ import main as store_main
+from repro.store.meta import EXPLORE_SCHEMA, stamp
 
 #: One tiny grid: 2 cells, sub-second total, still crossing two axes.
 TINY = ExploreSpec(
@@ -25,16 +29,16 @@ class TestSpec:
             ssd_counts=(1, 2),
             arrivals=("poisson", "mmpp"),
         )
-        cells = spec.cells
-        assert len(cells) == 8
-        assert cells[0] == {
+        grid = spec.grid
+        assert len(grid) == 8
+        assert grid[0] == {
             "cache_lines": 128, "queue_depth": 32,
             "ssds": 1, "arrival": "poisson",
         }
 
     def test_unknown_arrival_rejected(self):
         with pytest.raises(ValueError):
-            ExploreSpec(arrivals=("pareto",)).validate()
+            ExploreSpec(arrivals=("pareto",))
 
     def test_spec_hash_tracks_axes(self):
         assert TINY.config_hash() != ExploreSpec(
@@ -54,10 +58,11 @@ class TestDeterminism:
         # has no wall-clock or ordering noise, so two runs of the same
         # grid are byte-identical (provenance is stamped by the CLI, not
         # here).
-        assert run_explore(TINY) == run_explore(TINY)
+        assert run_scenario(EXPLORE, TINY) == run_scenario(EXPLORE, TINY)
 
     def test_mmpp_cells_differ_from_poisson_cells(self):
-        doc = run_explore(
+        doc = run_scenario(
+            EXPLORE,
             ExploreSpec(
                 cache_lines=(256,),
                 queue_depths=(32,),
@@ -66,7 +71,7 @@ class TestDeterminism:
                 rate_rps=20_000.0,
                 duration_ns=300_000.0,
                 seed=11,
-            )
+            ),
         )
         by_arrival = {
             c["axes"]["arrival"]: c["metrics"] for c in doc["cells"]
@@ -76,9 +81,9 @@ class TestDeterminism:
 
 class TestStorePopulation:
     def test_explore_document_ingests(self, tmp_path):
-        doc = run_explore(TINY)
+        doc = stamp(run_scenario(EXPLORE, TINY), EXPLORE_SCHEMA)
         record, points = ingest_document(doc)
-        assert record.schema == "agile-explore/1"
+        assert record.schema == "agile-explore/2"
         assert record.config_hash == TINY.config_hash()
         # Every cell contributes its metric set, keyed by grid axes.
         goodput = [p for p in points if p.metric == "goodput_rps"]
@@ -92,25 +97,21 @@ class TestStorePopulation:
         db = tmp_path / "explore.db"
         out = tmp_path / "grid.json"
         rc = main([
-            "--db", str(db), "explore",
-            "--cache-lines", "256", "--queue-depths", "32",
-            "--ssds", "1", "--arrivals", "poisson",
-            "--rate", "20000", "--duration-ms", "0.3", "--seed", "11",
+            "run", "explore", "--seed", "11",
+            "--set", "cache_lines=256", "--set", "queue_depths=32",
+            "--set", "ssd_counts=1", "--set", "arrivals=poisson",
+            "--set", "rate_rps=20000", "--set", "duration_ns=300000",
             "--out", str(out),
         ])
-        captured = capsys.readouterr()
         assert rc == 0
-        assert "stored run" in captured.out
-        assert out.exists()
+        assert store_main(["--db", str(db), "ingest", str(out)]) == 0
+        assert "ingested grid.json" in capsys.readouterr().out
         with ResultStore(db) as store:
-            runs = store.runs(schema="agile-explore/1")
+            runs = store.runs(schema="agile-explore/2")
             assert len(runs) == 1
             assert store.points(runs[0].run_id)
 
-    def test_cli_rejects_bad_arrival(self, tmp_path, capsys):
-        rc = main([
-            "--db", str(tmp_path / "x.db"), "explore",
-            "--arrivals", "pareto",
-        ])
+    def test_cli_rejects_bad_arrival(self, capsys):
+        rc = main(["run", "explore", "--set", "arrivals=pareto"])
         assert rc == 2
         assert "pareto" in capsys.readouterr().err

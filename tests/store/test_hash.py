@@ -69,3 +69,31 @@ class TestSystemConfigHash:
         # new or renamed config field silently re-seeds every baseline.
         # Changing this literal must be a deliberate, reviewed decision.
         assert SystemConfig().config_hash() == "cfa572f3bb62da10"
+
+
+class TestCiConfigHashes:
+    """Each CI artifact's config hash, pinned to the run the committed
+    baseline (baselines/store-baseline.db) holds for it.  store-gate
+    matches baselines on (schema family, config_hash): a drift here turns
+    the gate into "no stored baseline - seeded" and a silent pass.
+    Computed from the specs alone; nothing is simulated."""
+
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("sweep", "53f9851bb676209a"),
+            ("placement", "b97b0ce6b9d27d7d"),
+            ("write-path", "b59adde452ae1a8e"),
+            ("tenancy", "0d89a1d8cf28cc48"),
+        ],
+    )
+    def test_quick_scenario_hash_is_pinned(self, name, pinned):
+        from repro.serve.__main__ import SCENARIOS
+
+        scenario = SCENARIOS[name]
+        assert scenario.config_hash(scenario.quick(7)) == pinned
+
+    def test_quick_bench_export_hash_is_pinned(self):
+        from repro.bench.__main__ import export_config_hash
+
+        assert export_config_hash(True) == "277d594b8084d572"

@@ -1,11 +1,13 @@
-"""Ingest adapters: every schema round-trips losslessly into the store."""
+"""Ingest: every artifact family flattens through the one cell reader and
+round-trips losslessly into the store."""
 
 import pytest
 
 from repro.store import (
     ResultStore,
+    RunRecord,
     UnknownSchemaError,
-    config_fingerprint,
+    best_baseline,
     detect_schema,
     ingest_document,
 )
@@ -13,18 +15,17 @@ from repro.store import (
 from tests.store.helpers import (
     bench_trend_doc,
     placement_smoke_doc,
-    serve_sweep3_doc,
     serve_sweep_doc,
+    tenancy_doc,
     write_path_doc,
 )
 
 ALL_DOCS = {
     "serve-sweep": serve_sweep_doc(),
-    "serve-sweep-3": serve_sweep3_doc(),
     "placement-smoke": placement_smoke_doc(),
     "write-path": write_path_doc(),
-    "bench-trend-2": bench_trend_doc(),
-    "bench-trend-1-legacy": bench_trend_doc("agile-bench-trend/1"),
+    "tenancy": tenancy_doc(),
+    "bench-trend": bench_trend_doc(),
 }
 
 
@@ -55,50 +56,49 @@ class TestRoundTrip:
 
 class TestSchemaDetection:
     def test_explicit_tags_win(self):
-        assert detect_schema(serve_sweep_doc()) == "agile-serve-sweep/2"
-        assert detect_schema(serve_sweep3_doc()) == "agile-serve-sweep/3"
-        assert detect_schema(placement_smoke_doc()) == "agile-placement-smoke/1"
-        assert detect_schema(write_path_doc()) == "agile-write-path/1"
-        assert detect_schema(bench_trend_doc()) == "agile-bench-trend/2"
-
-    def test_legacy_untagged_documents_detect_by_shape(self):
-        trend = bench_trend_doc("agile-bench-trend/1")
-        del trend["schema"]
-        assert detect_schema(trend) == "agile-bench-trend/1"
-        smoke = placement_smoke_doc()
-        del smoke["schema"]
-        assert detect_schema(smoke) == "agile-placement-smoke/1"
+        assert detect_schema(serve_sweep_doc()) == "agile-serve-sweep/4"
+        assert detect_schema(placement_smoke_doc()) == "agile-placement-smoke/2"
+        assert detect_schema(write_path_doc()) == "agile-write-path/2"
+        assert detect_schema(tenancy_doc()) == "agile-tenancy/2"
+        assert detect_schema(bench_trend_doc()) == "agile-bench-trend/3"
 
     def test_unknown_shape_raises(self):
         with pytest.raises(UnknownSchemaError):
             detect_schema({"mystery": 1})
 
+    def test_superseded_versions_are_not_read(self):
+        doc = dict(serve_sweep_doc(), schema="agile-serve-sweep/3")
+        with pytest.raises(UnknownSchemaError):
+            ingest_document(doc)
+
+    def test_document_without_config_hash_is_rejected(self):
+        doc = serve_sweep_doc()
+        del doc["config_hash"]
+        with pytest.raises(UnknownSchemaError, match="config_hash"):
+            ingest_document(doc)
+
 
 class TestConfigFingerprint:
     def test_producer_stamp_is_authoritative(self):
-        assert config_fingerprint(serve_sweep_doc()) == "feedbeeffeedbeef"
+        record, _ = ingest_document(serve_sweep_doc())
+        assert record.config_hash == "feedbeeffeedbeef"
 
-    def test_legacy_fingerprint_ignores_results_and_provenance(self):
-        doc = bench_trend_doc("agile-bench-trend/1")
-        del doc["schema"]
-        base = config_fingerprint(doc)
-        # Result payloads and wall-clock noise must not shift the key...
-        noisy = dict(doc)
-        noisy["generated_unix"] = 9e9
-        noisy["perf"] = {"events_per_sec": 1.0}
-        assert config_fingerprint(noisy) == base
-        # ...but a real config knob must.
-        assert config_fingerprint(dict(doc, quick=False)) != base
-
-    def test_v1_and_v2_of_same_config_share_a_baseline_key(self):
-        # The compat contract: a /1 baseline still gates a /2 candidate.
-        v1 = bench_trend_doc("agile-bench-trend/1")
-        rec1, _ = ingest_document(v1)
-        v2 = bench_trend_doc()
-        rec2, _ = ingest_document(v2)
-        assert rec1.schema == "agile-bench-trend/1"
-        assert rec2.schema == "agile-bench-trend/2"
-        assert rec1.schema.rsplit("/", 1)[0] == rec2.schema.rsplit("/", 1)[0]
+    def test_v1_and_v2_of_same_config_share_a_baseline_key(self, store):
+        # Baselines match on the version-less family: a run stored under
+        # agile-tenancy/1 still gates an agile-tenancy/2 candidate with the
+        # same config hash.
+        doc = tenancy_doc()
+        record, points = ingest_document(doc)
+        old = RunRecord(
+            run_id="0" * 16,
+            schema="agile-tenancy/1",
+            config_hash=record.config_hash,
+            created_at=1.0,
+            raw={"schema": "agile-tenancy/1"},
+        )
+        store.put_run(old, points)
+        best = best_baseline(store, record.schema, record.config_hash)
+        assert best is not None and best.schema == "agile-tenancy/1"
 
 
 class TestProjection:
@@ -117,12 +117,17 @@ class TestProjection:
         }
         knees = [p for p in points if p.metric == "knee_rps"]
         assert len(knees) == 1
+        assert knees[0].axes == {
+            "ssds": 2, "placement": "striped", "system": "agile"
+        }
         # Nested class reports flatten with dotted names.
         assert any(p.metric == "classes.point.p99_ns" for p in points)
         # Device lists index element-wise.
         assert any(
             p.metric == "placement.device_reads.1" for p in points
         )
+        # String labels are never metrics.
+        assert not any(p.metric.endswith(("name", "policy")) for p in points)
 
     def test_bench_points_cover_every_section(self):
         _, points = ingest_document(bench_trend_doc())
@@ -138,6 +143,8 @@ class TestProjection:
     def test_telemetry_blobs_stay_in_raw_not_points(self):
         _, points = ingest_document(bench_trend_doc())
         assert not any("telemetry" in p.metric for p in points)
+        assert not any("stall" in p.metric for p in points
+                       if p.axes.get("section") == "fig5")
 
     def test_placement_points_keyed_by_policy(self):
         _, points = ingest_document(placement_smoke_doc())
@@ -149,7 +156,7 @@ class TestProjection:
         assert skews == {"shard": 1.9, "striped": 1.1}
 
     def test_sweep3_points_flatten_the_write_path_section(self):
-        _, points = ingest_document(serve_sweep3_doc())
+        _, points = ingest_document(serve_sweep_doc())
         waf = [p for p in points if p.metric == "write_path.mean_waf"]
         assert len(waf) == 1
         assert waf[0].value == 1.2
@@ -174,6 +181,15 @@ class TestProjection:
         assert summary["read_p99_inflation"] == 4.0
         assert summary["writebacks_lost"] == 0
 
+    def test_tenancy_points_carry_arm_and_section(self):
+        _, points = ingest_document(tenancy_doc())
+        arms = {p.axes.get("arm") for p in points} - {None}
+        assert arms == {"wfq", "fifo"}
+        headline = [p for p in points if p.axes.get("section") == "headline"]
+        assert {p.axes["storm"] for p in headline} == {"storm"}
+        # The starved-class list holds labels, not numbers.
+        assert not any("starved" in p.metric for p in points)
+
     def test_metadata_lands_on_the_run_row(self):
         record, _ = ingest_document(
             serve_sweep_doc(), source="serve_smoke.json", created_at=123.0
@@ -181,4 +197,4 @@ class TestProjection:
         assert record.git_sha.startswith("c0ffee")
         assert record.source == "serve_smoke.json"
         assert record.created_at == 123.0
-        assert record.schema == "agile-serve-sweep/2"
+        assert record.schema == "agile-serve-sweep/4"
